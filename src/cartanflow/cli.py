@@ -43,20 +43,9 @@ def _load_complex(args) -> complexes.Complex:
     raise UsageError("provide --complex PATH or --n/--m generator parameters")
 
 
-def _build_field(c, kind, args, seed_shift=0) -> fields.InteriorDerivative:
-    support = _parse_support(args.support)
-    seed = (args.seed, seed_shift)
-    if kind == "adjoint":
-        return fields.adjoint_field(c)
-    if kind == "zero":
-        return fields.zero_field(c)
-    if kind == "deterministic":
-        return fields.deterministic_field(c)
-    if kind == "edge-random":
-        return fields.random_edge_field(c, seed, support, args.integer_coeffs)
-    if kind == "sparsified":
-        return fields.sparsified_adjoint_field(c, args.p, seed)
-    raise UsageError(f"unknown field kind {kind!r}")
+def _field(c, args) -> fields.InteriorDerivative:
+    return fields.canonical_fields(c, args.field, args.p, (args.seed, 0),
+                                   _parse_support(args.support), args.integer_coeffs)
 
 
 def _emit(text: str, out):
@@ -98,13 +87,13 @@ def cmd_operators(args) -> int:
         "d": d.matrix, "dirac": dirac.matrix, "hodge_laplacian": hodge.matrix,
     }
     if args.field:
-        cx = cartan(d, _build_field(c, args.field, args))
+        cx = cartan(d, _field(c, args))
         matrices.update({"i_X": cx.iX.matrix, "D_X": cx.DX.matrix, "L_X": cx.LX.matrix})
     payload = {
         "complex": [list(s) for s in c.simplices],
         "f_vector": list(c.f_vector),
         "operators": {
-            name: {"grading": "see-name", "entries": json.loads(linalg.matrix_to_json(m))}
+            name: {"entries": json.loads(linalg.matrix_to_json(m))}
             for name, m in matrices.items()
         },
     }
@@ -115,7 +104,7 @@ def cmd_operators(args) -> int:
 def cmd_spectrum(args) -> int:
     c = _load_complex(args)
     d = exterior_derivative(c)
-    cx = cartan(d, _build_field(c, args.field, args))
+    cx = cartan(d, _field(c, args))
     ev = linalg.eigenvalues(cx.LX.matrix.astype(float))
     if args.format == "csv":
         _emit(linalg.spectrum_to_csv(ev), args.out)
@@ -125,8 +114,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.tol < np.inf:
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     c = _load_complex(args)
-    ix = _build_field(c, args.field, args)
+    ix = _field(c, args)
     iy = None
     if c.edges():
         iy = fields.random_edge_field(
@@ -136,17 +127,16 @@ def cmd_verify(args) -> int:
     config = {"command": "verify", "seed": args.seed, "field": args.field,
               "support": args.support, "tol": args.tol}
     data = json.loads(result["spectral"].to_json())
-    checks = [
-        {k: v for k, v in chk.items()} for chk in result["checks"]
-    ]
-    _emit(_report(config, checks, data) + "\n", args.out)
+    _emit(_report(config, result["checks"], data) + "\n", args.out)
     return 0 if result["pass"] else 1
 
 
 def cmd_evolve(args) -> int:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
     c = _load_complex(args)
     d = exterior_derivative(c)
-    cx = cartan(d, _build_field(c, args.field, args))
+    cx = cartan(d, _field(c, args))
     f0 = np.zeros(c.n)
     f0[args.initial_index % c.n] = 1.0
     ft0 = np.zeros(c.n)
@@ -171,7 +161,7 @@ def cmd_evolve(args) -> int:
 def cmd_deform(args) -> int:
     c = _load_complex(args)
     d = exterior_derivative(c)
-    cx = cartan(d, _build_field(c, args.field, args))
+    cx = cartan(d, _field(c, args))
     traj = deformation.run_deformation(cx.DX, steps=args.steps, total_time=args.time)
     if args.format == "csv":
         _emit(traj.to_csv(), args.out)
@@ -183,24 +173,18 @@ def cmd_deform(args) -> int:
 def survey(trials, n, m, field_kind, seed, support=(1, 3, 5, 7, 9),
            integer_coeffs=False, p=0.5, tol=1e-6):
     """Classify L_X spectra over random complexes and fields."""
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
+    if not 0 <= tol < np.inf:
+        raise UsageError(f"tol must be finite and >= 0, got {tol}")
     integer_hits = 0
     real_hits = 0
     histogram: dict[int, int] = {}
     for trial in range(trials):
         rng_seed = (seed, trial)
         c = complexes.random_complex(n, m, rng_seed)
-        if field_kind == "edge-random":
-            ix = fields.random_edge_field(c, (seed, trial, 1), support, integer_coeffs)
-        elif field_kind == "sparsified":
-            ix = fields.sparsified_adjoint_field(c, p, (seed, trial, 1))
-        elif field_kind == "adjoint":
-            ix = fields.adjoint_field(c)
-        elif field_kind == "zero":
-            ix = fields.zero_field(c)
-        elif field_kind == "deterministic":
-            ix = fields.deterministic_field(c)
-        else:
-            raise UsageError(f"unknown field kind {field_kind!r}")
+        ix = fields.canonical_fields(c, field_kind, p, (seed, trial, 1), support,
+                                     integer_coeffs)
         cx = cartan(exterior_derivative(c), ix)
         ev = linalg.eigenvalues(cx.LX.matrix.astype(float))
         is_real = bool(np.max(np.abs(ev.imag)) <= tol)
@@ -243,10 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=0)
             p.add_argument("--m", type=int, default=0)
 
-    def field_opts(p):
-        p.add_argument("--field", default="adjoint",
-                       choices=["adjoint", "zero", "deterministic",
-                                "edge-random", "sparsified"])
+    def field_opts(p, default="adjoint"):
+        p.add_argument("--field", default=default, choices=fields.FIELD_KINDS)
         p.add_argument("--support", default="odd")
         p.add_argument("--integer-coeffs", action="store_true")
         p.add_argument("--p", type=float, default=0.5)
@@ -264,12 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("operators", help="emit d, D, L (and i_X, D_X, L_X)")
     common(p)
-    p.add_argument("--field", default=None,
-                   choices=["adjoint", "zero", "deterministic",
-                            "edge-random", "sparsified"])
-    p.add_argument("--support", default="odd")
-    p.add_argument("--integer-coeffs", action="store_true")
-    p.add_argument("--p", type=float, default=0.5)
+    field_opts(p, default=None)
     p.set_defaults(func=cmd_operators)
 
     p = sub.add_parser("spectrum", help="eigenvalues of L_X")
@@ -321,7 +298,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, complexes.ComplexError, fields.FieldError,
-            linalg.LinalgError, OSError) as exc:
+            linalg.LinalgError, deformation.DeformationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

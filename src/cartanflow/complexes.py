@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_SIMPLICES = 4096
+# A facet of k vertices has 2^k - 1 faces, so a wider facet alone exceeds the cap.
+MAX_FACET_VERTICES = (MAX_SIMPLICES + 1).bit_length() - 1
 
 
 class ComplexError(ValueError):
@@ -31,6 +33,11 @@ def _as_simplex(vertices) -> Simplex:
     if any(v < 1 for v in s):
         raise ComplexError(f"vertex labels must be positive integers, got {s}")
     return s
+
+
+def _check_size(count: int) -> None:
+    if count > MAX_SIMPLICES:
+        raise ComplexError(f"complex exceeds the {MAX_SIMPLICES} simplex limit ({count} found)")
 
 
 def _basis_key(s: Simplex):
@@ -51,10 +58,7 @@ class Complex:
         basis = sorted({_as_simplex(s) for s in simplices}, key=_basis_key)
         if not basis:
             raise ComplexError("complex must contain at least one simplex")
-        if len(basis) > MAX_SIMPLICES:
-            raise ComplexError(
-                f"complex has {len(basis)} simplices, over the {MAX_SIMPLICES} limit"
-            )
+        _check_size(len(basis))
         member = set(basis)
         if require_closed:
             for s in basis:
@@ -112,12 +116,22 @@ class Complex:
 
 
 def generate_closure(facets) -> Complex:
-    """Downward closure of a facet list: all non-empty subsets, deduplicated."""
-    facets = [_as_simplex(f) for f in facets]
+    """Downward closure of a facet list: all non-empty subsets, deduplicated.
+
+    A facet too wide for the size cap is rejected before it is enumerated,
+    and the running union is checked after each facet, so no input makes
+    this hold more than about twice MAX_SIMPLICES faces.
+    """
     closed = set()
-    for f in facets:
+    for f in map(_as_simplex, facets):
+        if len(f) > MAX_FACET_VERTICES:
+            raise ComplexError(
+                f"facet {f} has {len(f)} vertices; its closure alone exceeds "
+                f"the {MAX_SIMPLICES} simplex limit"
+            )
         for k in range(1, len(f) + 1):
             closed.update(itertools.combinations(f, k))
+        _check_size(len(closed))
     return Complex.from_simplices(closed, require_closed=False)
 
 
@@ -130,11 +144,13 @@ def random_complex(n: int, m: int, seed: int) -> Complex:
     if n < 1 or m < 1:
         raise ComplexError("random_complex needs n >= 1 and m >= 1")
     rng = np.random.default_rng(seed)
-    facets = []
-    for _ in range(m):
-        k = int(rng.integers(1, n + 1))
-        facets.append(set(int(v) for v in rng.integers(1, n + 1, size=k)))
-    return generate_closure(facets)
+
+    def facets():
+        for _ in range(m):
+            k = int(rng.integers(1, n + 1))
+            yield set(int(v) for v in rng.integers(1, n + 1, size=k))
+
+    return generate_closure(facets())
 
 
 def whitney_complex(edges) -> Complex:
@@ -156,6 +172,7 @@ def whitney_complex(edges) -> Complex:
 
     def grow(clique: Simplex, candidates: set):
         cliques.add(clique)
+        _check_size(len(cliques))
         for v in sorted(candidates):
             grow(clique + (v,), {u for u in candidates & adj[v] if u > v})
 
@@ -172,9 +189,14 @@ def grading_summary(c: Complex):
 def load_complex(path) -> Complex:
     """Load a complex from JSON: {"facets": [...]} or {"simplices": [...]}."""
     with open(path) as fh:
-        data = json.load(fh)
-    if "facets" in data:
-        return generate_closure(data["facets"])
-    if "simplices" in data:
-        return Complex.from_simplices(data["simplices"], require_closed=True)
+        try:
+            data = json.load(fh)
+            if "facets" in data:
+                return generate_closure(data["facets"])
+            if "simplices" in data:
+                return Complex.from_simplices(data["simplices"], require_closed=True)
+        except ComplexError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ComplexError(f"malformed complex file {path}: {exc}") from exc
     raise ComplexError("complex JSON must contain 'facets' or 'simplices'")

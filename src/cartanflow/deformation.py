@@ -63,7 +63,6 @@ class DeformationTrajectory:
     u_series: list[float]
     final_dd: np.ndarray
     final_d: np.ndarray
-    final_e: np.ndarray
     diagnostics: dict
     operator_snapshots: list = field(default_factory=list)
     aborted: bool = False
@@ -118,8 +117,6 @@ def run_deformation(
     u_series: list[float] = []
     snapshots = []
     aborted = False
-    d = d0
-    e = d0.conj().T
     for m in range(steps):
         d, e, b = _split(dd, offsets)
         if consistent_rk4:
@@ -149,7 +146,6 @@ def run_deformation(
         u_series=u_series,
         final_dd=dd,
         final_d=d,
-        final_e=e,
         diagnostics=diagnostics,
         operator_snapshots=snapshots,
         aborted=aborted,

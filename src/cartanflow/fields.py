@@ -173,14 +173,33 @@ def sparsified_adjoint_field(c: Complex, p: float, seed) -> InteriorDerivative:
     return InteriorDerivative.from_matrix(c, dt)
 
 
-def canonical_fields(c: Complex, kind: str, p: float = 1.0, seed=0) -> InteriorDerivative:
+FIELD_KINDS = ("adjoint", "zero", "deterministic", "edge-random", "sparsified")
+
+
+def canonical_fields(
+    c: Complex,
+    kind: str,
+    p: float = 1.0,
+    seed=0,
+    support=(1, 3, 5, 7, 9),
+    integer_coeffs: bool = False,
+) -> InteriorDerivative:
+    """The field of one of FIELD_KINDS on c.
+
+    `p` applies to "sparsified" only, `support` and `integer_coeffs` to
+    "edge-random" only, and `seed` to both.
+    """
     if kind == "adjoint":
         return adjoint_field(c)
     if kind == "zero":
         return zero_field(c)
+    if kind == "deterministic":
+        return deterministic_field(c)
+    if kind == "edge-random":
+        return random_edge_field(c, seed, support, integer_coeffs)
     if kind == "sparsified":
         return sparsified_adjoint_field(c, p, seed)
-    raise FieldError(f"unknown canonical field kind {kind!r}")
+    raise FieldError(f"unknown field kind {kind!r}")
 
 
 def _same_complex(*ops):

@@ -27,7 +27,7 @@ def run_checks(
 ) -> dict:
     """All structural and spectral identities for one or two fields on c."""
     d = exterior_derivative(c)
-    dirac, hodge = dirac_and_hodge(d)
+    _, hodge = dirac_and_hodge(d)
     cx = cartan(d, ix)
     dm, im = d.matrix, ix.matrix
     exact = np.issubdtype(im.dtype, np.integer)

@@ -33,6 +33,27 @@ def test_unknown_field_kind_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, complex_text", [
+    (["evolve", "--n", "4", "--m", "4", "--steps", "0"], None),
+    (["deform", "--n", "4", "--m", "4", "--steps", "0"], None),
+    (["deform", "--n", "4", "--m", "4", "--steps", "1"], None),
+    (["survey", "--trials", "0", "--n", "4", "--m", "4"], None),
+    (["verify", "--n", "4", "--m", "4", "--tol", "nan"], None),
+    (["spectrum"], '{"facets": 5}'),
+    (["spectrum"], '{"facets": [[1, "a"]]}'),
+    (["spectrum"], '{"facets": [[1, 2'),
+    (["spectrum"], '{"facets": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]]}'),
+])
+def test_bad_input_exits_2_with_error(argv, complex_text, tmp_path, capsys):
+    if complex_text is not None:
+        path = tmp_path / "c.json"
+        path.write_text(complex_text)
+        argv = argv + ["--complex", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_missing_complex_file_exits_2(capsys):
     code, _, err = run(["spectrum", "--complex", "/nonexistent.json"], capsys)
     assert code == 2

@@ -38,6 +38,24 @@ def test_closure_rejects_bad_input():
         generate_closure([(0, 1)])
 
 
+@pytest.mark.parametrize("width", [13, 40])
+def test_closure_rejects_facet_too_wide_for_the_cap(width):
+    # 2^13 - 1 faces already exceed MAX_SIMPLICES; a 40-vertex facet must be
+    # refused before any of its 2^40 - 1 faces are listed
+    with pytest.raises(ComplexError, match="vertices"):
+        generate_closure([range(1, width + 1)])
+
+
+def test_closure_keeps_widest_facet_under_the_cap():
+    assert generate_closure([range(1, 13)]).n == 2**12 - 1
+
+
+def test_whitney_stops_at_the_cap():
+    # K_40 has 2^40 - 1 cliques; enumeration must stop once the cap is passed
+    with pytest.raises(ComplexError, match="limit"):
+        whitney_complex(itertools.combinations(range(1, 41), 2))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_closure_property_of_random_complex(seed):
     c = random_complex(5, 8, seed)

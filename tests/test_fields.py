@@ -120,6 +120,11 @@ def test_sparsified_p1_is_adjoint(c4):
     assert np.array_equal(canonical_fields(c4, "sparsified", p=1.0).matrix, full.matrix)
 
 
+def test_canonical_fields_rejects_unknown_kind(c4):
+    with pytest.raises(FieldError):
+        canonical_fields(c4, "nope")
+
+
 def test_sparsified_is_seeded_subset(c4):
     dt = exterior_derivative(c4).matrix.T
     sub = sparsified_adjoint_field(c4, 0.5, 123)

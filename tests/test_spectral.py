@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanflow import (
     ComplexError,
     adjoint_field,
     betti_vector,
+    canonical_fields,
     cartan,
     classical_betti,
     deterministic_field,
@@ -21,6 +24,7 @@ from cartanflow import (
     zero_field,
 )
 from cartanflow.exterior import GradedOperator, PRESERVES
+from cartanflow.fields import FIELD_KINDS
 
 import reference_data as ref
 
@@ -134,6 +138,46 @@ def test_spectral_symmetry_rejects_parity_preserving_input():
     op = GradedOperator(np.eye(3, dtype=int), c, PRESERVES)
     with pytest.raises(ComplexError):
         spectral_symmetry_check(op)
+
+
+def pairing_miss_case():
+    """23 simplices whose numerical pairing of sigma(D_X) and -sigma(D_X)
+    misses 1e-7 * scale: a defective cluster at 0 scatters the eigenvalues."""
+    c = random_complex(5, 8, 29)
+    ix = random_edge_field(c, (29, 1), integer_coeffs=True)
+    return cartan(exterior_derivative(c), ix).DX
+
+
+def test_spectral_symmetry_certificate_decides_when_pairing_misses():
+    dx = pairing_miss_case()
+    scale = max(1.0, float(np.max(np.abs(dx.matrix))))
+    result = spectral_symmetry_check(dx)
+    assert result["pass"]
+    assert result["max_unpaired"] > 1e-7 * scale
+    assert result["max_unpaired"] == pytest.approx(3.96242419822667e-06, rel=1e-3)
+
+
+def test_spectral_symmetry_case_has_parity_symmetric_charpoly():
+    # exact oracle: p(x) = +-p(-x), so every odd-index coefficient vanishes
+    coeffs = sp.Matrix(pairing_miss_case().matrix.tolist()).charpoly().all_coeffs()
+    assert all(coeffs[k] == 0 for k in range(1, len(coeffs), 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(FIELD_KINDS), p=st.floats(0.0, 1.0))
+def test_cartan_identities_exact_on_integer_fields(n, m, seed, kind, p):
+    c = random_complex(n, m, seed)
+    d = exterior_derivative(c)
+    ix = canonical_fields(c, kind, p, seed, integer_coeffs=True)
+    cx = cartan(d, ix)
+    dm, dx, lx = d.matrix, cx.DX.matrix, cx.LX.matrix
+    assert all(np.issubdtype(a.dtype, np.integer) for a in (dm, dx, lx))
+    sign = (-1) ** c.degrees()
+    assert np.array_equal(sign[:, None] * dx * sign[None, :], -dx)  # P D_X P = -D_X
+    assert not np.any(dm @ dm)
+    assert np.array_equal(lx @ dm, dm @ lx)
+    assert spectral_symmetry_check(cx.DX)["pass"]
 
 
 @pytest.mark.parametrize("seed", range(10))
