@@ -141,17 +141,13 @@ def cmd_evolve(args) -> int:
     f0[args.initial_index % c.n] = 1.0
     ft0 = np.zeros(c.n)
     state, discarded = dynamics.wave_pack(f0, ft0, cx.DX)
-    h = args.time / args.steps
     lines = ["t," + ",".join(f"re{i},im{i}" for i in range(c.n))]
-    current = state
-    for k in range(args.steps + 1):
+    for current in dynamics.wave_series(state, cx.DX, args.time / args.steps, args.steps):
         row = [f"{current.t:.12g}"]
         for z in current.psi:
             row.append(f"{z.real:.12g}")
             row.append(f"{z.imag:.12g}")
         lines.append(",".join(row))
-        if k < args.steps:
-            current = dynamics.evolve_schrodinger(current, cx.DX, h)
     _emit("\n".join(lines) + "\n", args.out)
     if discarded > 1e-9:
         print(f"note: discarded velocity component norm {discarded:.3g}", file=sys.stderr)
@@ -159,6 +155,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    if args.format == "csv" and args.steps < 2:
+        raise UsageError("the CSV inflation column needs --steps >= 2 "
+                         "(--format json accepts one step)")
     c = _load_complex(args)
     d = exterior_derivative(c)
     cx = cartan(d, _field(c, args))

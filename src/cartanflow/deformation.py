@@ -23,22 +23,26 @@ class DeformationError(RuntimeError):
     """Blow-up or invalid configuration during a deformation run."""
 
 
-def strict_lower_block(a: np.ndarray, offsets) -> np.ndarray:
-    """Entries strictly below the block diagonal (the degree-raising part)."""
-    a = np.asarray(a)
-    n = a.shape[0]
+def _lower_block_mask(shape, offsets) -> np.ndarray:
+    """True strictly below the block diagonal of an n x n matrix."""
+    n = shape[0]
     offsets = list(offsets)
-    if a.shape != (n, n) or offsets[0] != 0 or offsets[-1] != n:
+    if shape != (n, n) or offsets[0] != 0 or offsets[-1] != n:
         raise LinalgError("offsets inconsistent with matrix order")
     block_of = np.empty(n, dtype=int)
     for k in range(len(offsets) - 1):
         block_of[offsets[k]:offsets[k + 1]] = k
-    keep = block_of[:, None] > block_of[None, :]
-    return np.where(keep, a, 0)
+    return block_of[:, None] > block_of[None, :]
 
 
-def _split(dd: np.ndarray, offsets):
-    d = strict_lower_block(dd, offsets)
+def strict_lower_block(a: np.ndarray, offsets) -> np.ndarray:
+    """Entries strictly below the block diagonal (the degree-raising part)."""
+    a = np.asarray(a)
+    return np.where(_lower_block_mask(a.shape, offsets), a, 0)
+
+
+def _split(dd: np.ndarray, keep: np.ndarray):
+    d = np.where(keep, dd, 0)
     e = d.conj().T
     b = dd - (d + e)
     return d, e, b
@@ -102,15 +106,15 @@ def run_deformation(
     if steps < 1 or not total_time > 0:
         raise DeformationError("need steps >= 1 and total_time > 0")
     c = dx0.complex_ref
-    offsets = c.block_offsets
     h = total_time / steps
     dd = np.asarray(dx0.matrix, dtype=complex)
+    keep = _lower_block_mask(dd.shape, c.block_offsets)
     spectrum_start = eigenvalues(dd)
-    d0, _, _ = _split(dd, offsets)
+    d0, _, _ = _split(dd, keep)
     ranks_start = block_ranks_of_d(d0, c)
 
     def commutator_field(x):
-        d, e, b = _split(x, offsets)
+        d, e, b = _split(x, keep)
         bmat = (d - e) + 1j * b
         return bmat @ x - x @ bmat
 
@@ -118,7 +122,7 @@ def run_deformation(
     snapshots = []
     aborted = False
     for m in range(steps):
-        d, e, b = _split(dd, offsets)
+        d, e, b = _split(dd, keep)
         if consistent_rk4:
             dd = rk4_step(commutator_field, dd, h)
         else:
@@ -130,7 +134,7 @@ def run_deformation(
         if not np.all(np.isfinite(dd)):
             aborted = True
             break
-    d, e, _ = _split(dd, offsets)
+    d, e, _ = _split(dd, keep)
     diagnostics = {
         "d_squared_norm": _l1(d @ d),
         "e_squared_norm": _l1(e @ e),

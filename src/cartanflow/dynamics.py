@@ -40,12 +40,25 @@ def wave_pack(f0, ft0, dx: GradedOperator) -> tuple[WaveState, float]:
     return WaveState(f0 - 1j * w, 0.0), discarded
 
 
-def evolve_schrodinger(state: WaveState, dx: GradedOperator, t: float) -> WaveState:
-    """psi(t0 + t) = exp(i t D_X) psi(t0)."""
+def propagator(dx: GradedOperator, t: float) -> np.ndarray:
+    """exp(i t D_X), the wave propagator over a duration t."""
     if not np.isfinite(t):
         raise LinalgError("duration must be finite")
-    propagator = matrix_exponential(1j * t * dx.matrix.astype(float))
-    return WaveState(propagator @ state.psi, state.t + t)
+    return matrix_exponential(1j * t * dx.matrix.astype(float))
+
+
+def evolve_schrodinger(state: WaveState, dx: GradedOperator, t: float) -> WaveState:
+    """psi(t0 + t) = exp(i t D_X) psi(t0)."""
+    return WaveState(propagator(dx, t) @ state.psi, state.t + t)
+
+
+def wave_series(state: WaveState, dx: GradedOperator, h: float, steps: int) -> list[WaveState]:
+    """The wave at t0, t0+h, ..., t0+steps*h from one propagator exp(i h D_X)."""
+    u = propagator(dx, h)
+    out = [state]
+    for _ in range(steps):
+        out.append(WaveState(u @ out[-1].psi, out[-1].t + h))
+    return out
 
 
 def wave_residual_check(f_series, h: float, lx: GradedOperator) -> float:
@@ -62,12 +75,7 @@ def wave_residual_check(f_series, h: float, lx: GradedOperator) -> float:
 
 def sample_wave(state: WaveState, dx: GradedOperator, h: float, steps: int) -> list[np.ndarray]:
     """Real parts of the wave at t0, t0+h, ..., t0+steps*h."""
-    out = [state.real_part()]
-    current = state
-    for _ in range(steps):
-        current = evolve_schrodinger(current, dx, h)
-        out.append(current.real_part())
-    return out
+    return [s.real_part() for s in wave_series(state, dx, h, steps)]
 
 
 def evolve_heat(f0, lx: GradedOperator, t: float) -> np.ndarray:

@@ -25,16 +25,24 @@ def betti_vector(c: Complex, lx: GradedOperator, tol: float = 1e-8) -> list[int]
     return [kernel_dimension(degree_block(lx, p), tol) for p in range(c.dimension + 1)]
 
 
-def algebraic_kernel_vector(c: Complex, lx: GradedOperator, tol: float = DEFAULT_TOL) -> list[int]:
-    """Algebraic multiplicity of the eigenvalue 0 in each degree block."""
+def degree_spectra(c: Complex, lx: GradedOperator) -> list[np.ndarray]:
+    """Eigenvalues of each degree block of L_X, one eigensolve per block."""
     _require_preserving(lx)
+    return [eigenvalues(degree_block(lx, p).astype(float)) for p in range(c.dimension + 1)]
+
+
+def _algebraic_kernel(lx: GradedOperator, spectra, tol: float) -> list[int]:
     out = []
-    for p in range(c.dimension + 1):
-        block = degree_block(lx, p).astype(float)
+    for p, ev in enumerate(spectra):
+        block = degree_block(lx, p)
         scale = max(1.0, float(np.max(np.abs(block))) if block.size else 0.0)
-        ev = eigenvalues(block)
         out.append(int(np.sum(np.abs(ev) <= tol * scale)))
     return out
+
+
+def algebraic_kernel_vector(c: Complex, lx: GradedOperator, tol: float = DEFAULT_TOL) -> list[int]:
+    """Algebraic multiplicity of the eigenvalue 0 in each degree block."""
+    return _algebraic_kernel(lx, degree_spectra(c, lx), tol)
 
 
 def classical_betti(c: Complex, d: GradedOperator) -> list[int]:
@@ -60,19 +68,10 @@ def euler_poincare_check(c: Complex, lx: GradedOperator, tol: float = 1e-8) -> d
     }
 
 
-def _parity_spectra(c: Complex, lx: GradedOperator) -> tuple[np.ndarray, np.ndarray]:
-    even, odd = [], []
-    for p in range(c.dimension + 1):
-        ev = eigenvalues(degree_block(lx, p).astype(float))
-        (even if p % 2 == 0 else odd).extend(ev)
-    return np.array(even, dtype=complex), np.array(odd, dtype=complex)
-
-
-def mckean_singer_check(c: Complex, lx: GradedOperator, tol: float = DEFAULT_TOL) -> dict:
-    """Nonzero spectra on even and odd forms must agree as multisets."""
-    _require_preserving(lx)
+def _mckean_singer(lx: GradedOperator, spectra, tol: float) -> dict:
     scale = max(1.0, float(np.max(np.abs(lx.matrix))))
-    even, odd = _parity_spectra(c, lx)
+    even = np.array([z for ev in spectra[0::2] for z in ev], dtype=complex)
+    odd = np.array([z for ev in spectra[1::2] for z in ev], dtype=complex)
     even_nz = even[np.abs(even) > tol * scale]
     odd_nz = odd[np.abs(odd) > tol * scale]
     ok, worst = pair_spectra(even_nz, odd_nz, tol * scale)
@@ -82,6 +81,11 @@ def mckean_singer_check(c: Complex, lx: GradedOperator, tol: float = DEFAULT_TOL
         "pass": ok,
         "residual": worst if np.isfinite(worst) else None,
     }
+
+
+def mckean_singer_check(c: Complex, lx: GradedOperator, tol: float = DEFAULT_TOL) -> dict:
+    """Nonzero spectra on even and odd forms must agree as multisets."""
+    return _mckean_singer(lx, degree_spectra(c, lx), tol)
 
 
 def spectral_symmetry_check(dx: GradedOperator, tol: float = DEFAULT_TOL) -> dict:
@@ -140,14 +144,11 @@ def spectral_report(
     c: Complex, dx: GradedOperator, lx: GradedOperator, tol: float = DEFAULT_TOL
 ) -> SpectralReport:
     """Bundle the spectral checks for one Cartan pair (D_X, L_X)."""
-    spectra = [
-        [complex(z) for z in eigenvalues(degree_block(lx, p).astype(float))]
-        for p in range(c.dimension + 1)
-    ]
+    spectra = degree_spectra(c, lx)
     ep = euler_poincare_check(c, lx)
-    ms = mckean_singer_check(c, lx, tol)
+    ms = _mckean_singer(lx, spectra, tol)
     sym = spectral_symmetry_check(dx, tol)
-    alg = algebraic_kernel_vector(c, lx, tol)
+    alg = _algebraic_kernel(lx, spectra, tol)
     checks = [
         {"name": "euler_poincare", "pass": ep["pass"],
          "residual": abs(ep["chi_f"] - ep["chi_betti"])},
@@ -159,4 +160,5 @@ def spectral_report(
          "residual": float(sum(abs(a - b) for a, b in zip(alg, ep["betti"]))),
          "informational": True},
     ]
-    return SpectralReport(spectra, ep["betti"], alg, ep["chi_f"], ep["chi_betti"], checks)
+    per_degree = [[complex(z) for z in ev] for ev in spectra]
+    return SpectralReport(per_degree, ep["betti"], alg, ep["chi_f"], ep["chi_betti"], checks)

@@ -45,23 +45,25 @@ def run_checks(
     if iy is not None:
         cy = cartan(d, iy)
         iym = iy.matrix
+        # identities involving i_Y are exact only when both fields are integer
+        exact_xy = exact and np.issubdtype(iym.dtype, np.integer)
         iz1 = cx.LX.matrix @ iym - iym @ cx.LX.matrix
         iz2 = im @ cy.LX.matrix - cy.LX.matrix @ im
         iz = lie_bracket(ix, iy, d)
         cz = cartan(d, iz)
         commuting = _residual(im @ iym) == 0 and _residual(iym @ im) == 0
         if commuting:
-            checks.append(_check("bracket_two_forms_agree", iz1 - iz2, exact, tol))
+            checks.append(_check("bracket_two_forms_agree", iz1 - iz2, exact_xy, tol))
         checks.append(_check(
             "lie_algebra_relation",
             cz.LX.matrix - (cx.LX.matrix @ cy.LX.matrix - cy.LX.matrix @ cx.LX.matrix),
-            exact, tol))
+            exact_xy, tol))
         power = np.linalg.matrix_power(iz.matrix, 1 + c.dimension)
-        checks.append(_check("bracket_nilpotency", power, exact, tol))
+        checks.append(_check("bracket_nilpotency", power, exact_xy, tol))
         if ix_nilpotent and commuting:
-            checks.append(_check("bracket_squared_zero", iz.matrix @ iz.matrix, exact, tol))
+            checks.append(_check("bracket_squared_zero", iz.matrix @ iz.matrix, exact_xy, tol))
             checks.append(_check("bracket_factorization",
-                                 cz.DX.matrix @ cz.DX.matrix - cz.LX.matrix, exact, tol))
+                                 cz.DX.matrix @ cz.DX.matrix - cz.LX.matrix, exact_xy, tol))
 
     report = spectral_report(c, cx.DX, cx.LX, tol)
     checks.extend(report.checks)

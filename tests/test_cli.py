@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cartanflow import dynamics, linalg
 from cartanflow.cli import main, survey
 
 
@@ -43,6 +44,7 @@ def test_unknown_field_kind_exits_2(capsys):
     (["spectrum"], '{"facets": [[1, "a"]]}'),
     (["spectrum"], '{"facets": [[1, 2'),
     (["spectrum"], '{"facets": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]]}'),
+    (["evolve", "--n", "4", "--m", "4", "--time", "nan"], None),
 ])
 def test_bad_input_exits_2_with_error(argv, complex_text, tmp_path, capsys):
     if complex_text is not None:
@@ -52,6 +54,16 @@ def test_bad_input_exits_2_with_error(argv, complex_text, tmp_path, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_deform_one_step_csv_names_steps(capsys):
+    code, _, err = run(["deform", "--n", "4", "--m", "4", "--steps", "1"], capsys)
+    assert code == 2
+    assert "--steps" in err
+    code, out, _ = run(["deform", "--n", "4", "--m", "4", "--steps", "1",
+                        "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["steps"] == 1
 
 
 def test_missing_complex_file_exits_2(capsys):
@@ -88,6 +100,15 @@ def test_verify_random_odd_field_passes(tmp_path, capsys):
     assert {"d_squared_zero", "mckean_singer", "euler_poincare"} <= names
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_verify_default_field_passes_lie_algebra_relation(seed, capsys):
+    # adjoint i_X is integer, the random i_Y is not: the relation holds to roundoff
+    code, out, _ = run(["verify", "--n", "7", "--m", "10", "--seed", str(seed)], capsys)
+    checks = {chk["name"]: chk for chk in json.loads(out)["checks"]}
+    assert checks["lie_algebra_relation"]["pass"], checks["lie_algebra_relation"]
+    assert code == 0
+
+
 def test_verify_byte_identical_reports(tmp_path):
     paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for p in paths:
@@ -106,6 +127,21 @@ def test_evolve_writes_trajectory(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 12
     assert lines[0].startswith("t,re0,im0")
+
+
+def test_evolve_computes_one_propagator(monkeypatch, capsys):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return linalg.matrix_exponential(a)
+
+    monkeypatch.setattr(dynamics, "matrix_exponential", counting)
+    code, out, _ = run(["evolve", "--n", "6", "--m", "8", "--seed", "1",
+                        "--steps", "20"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 22
+    assert len(calls) == 1
 
 
 def test_deform_csv_and_json(tmp_path):

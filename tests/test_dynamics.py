@@ -13,7 +13,7 @@ from cartanflow import (
     whitney_complex,
     zero_field,
 )
-from cartanflow.dynamics import sample_wave
+from cartanflow.dynamics import sample_wave, wave_series
 from cartanflow.linalg import LinalgError
 
 import reference_data as ref
@@ -101,6 +101,20 @@ def test_complex_form_matches_dalembert(c4_hodge):
         numeric = evolve_schrodinger(state, cx.DX, t).real_part()
         closed = dalembert_solution(cx.DX.matrix, f0, ft0, t)
         assert np.max(np.abs(numeric - closed)) <= 1e-9
+
+
+def test_wave_series_matches_repeated_evolve():
+    c = whitney_complex(ref.C4_EDGES)
+    cx = cartan(exterior_derivative(c), deterministic_field(c))
+    rng = np.random.default_rng(6)
+    state, _ = wave_pack(rng.standard_normal(8), rng.standard_normal(8), cx.DX)
+    series = wave_series(state, cx.DX, 0.07, 12)
+    assert len(series) == 13
+    current = state
+    for k, s in enumerate(series):
+        assert np.array_equal(s.psi, current.psi), k
+        assert s.t == current.t
+        current = evolve_schrodinger(current, cx.DX, 0.07)
 
 
 def test_wave_residual_constant_kernel_mode(c4_hodge):

@@ -23,6 +23,7 @@ from cartanflow import (
     whitney_complex,
     zero_field,
 )
+from cartanflow import linalg, spectral
 from cartanflow.exterior import GradedOperator, PRESERVES
 from cartanflow.fields import FIELD_KINDS
 
@@ -199,3 +200,19 @@ def test_spectral_report_shapes_and_json():
     assert report.passed()
     payload = report.to_json()
     assert '"betti": [1, 1]' in payload
+
+
+def test_spectral_report_eigensolves_each_degree_block_once(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return linalg.eigenvalues(a)
+
+    monkeypatch.setattr(spectral, "eigenvalues", counting)
+    c = random_complex(8, 12, 1)
+    cx = cartan(exterior_derivative(c), random_edge_field(c, 1))
+    spectral_report(c, cx.DX, cx.LX)
+    # one call per degree block of L_X, plus one for D_X
+    assert len(calls) == c.dimension + 2
+    assert sorted(calls) == sorted([(f, f) for f in c.f_vector] + [(c.n, c.n)])
