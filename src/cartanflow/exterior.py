@@ -41,7 +41,7 @@ def classify_grading(matrix: np.ndarray, c: Complex) -> str:
     rows, cols = np.nonzero(matrix)
     if len(rows) == 0:
         return PRESERVES
-    shifts = set(int(deg[i] - deg[j]) for i, j in zip(rows, cols))
+    shifts = set(np.unique(deg[rows] - deg[cols]).tolist())
     if shifts == {0}:
         return PRESERVES
     if shifts == {1}:
@@ -63,14 +63,17 @@ def incidence_sign(a, b) -> int:
 
 def exterior_derivative(c: Complex) -> GradedOperator:
     """The signed incidence operator d; integer entries, d @ d == 0."""
-    n = c.n
-    d = np.zeros((n, n), dtype=int)
+    index = c._index_map()
+    rows, cols, signs = [], [], []
     for i, s in enumerate(c.simplices):
         if len(s) == 1:
             continue
         for pos in range(len(s)):
-            facet = s[:pos] + s[pos + 1 :]
-            d[i, c.index(facet)] = (-1) ** pos
+            rows.append(i)
+            cols.append(index[s[:pos] + s[pos + 1 :]])
+            signs.append((-1) ** pos)
+    d = np.zeros((c.n, c.n), dtype=int)
+    d[rows, cols] = signs
     return GradedOperator(d, c, RAISES)
 
 

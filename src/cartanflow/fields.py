@@ -13,7 +13,6 @@ from .exterior import (
     PRESERVES,
     GradedOperator,
     classify_grading,
-    incidence_sign,
 )
 
 _ZERO_TOL = 1e-12
@@ -33,7 +32,7 @@ def _is_zero(m: np.ndarray) -> bool:
 def _nonzero_source_degrees(matrix: np.ndarray, c: Complex) -> frozenset:
     deg = c.degrees()
     _, cols = np.nonzero(matrix)
-    return frozenset(int(deg[j]) for j in cols)
+    return frozenset(np.unique(deg[cols]).tolist())
 
 
 @dataclass(frozen=True)
@@ -89,32 +88,31 @@ def build_edge_field(
     ones at the same entry; otherwise contributions accumulate.
     """
     support = frozenset(int(p) for p in support)
-    n = c.n
     exact = all(isinstance(v, (int, np.integer)) for v in coefficients.values())
-    ix = np.zeros((n, n), dtype=int if exact else float)
-    edges = c.edges()
-    edge_set = set(edges)
+    ix = np.zeros((c.n, c.n), dtype=int if exact else float)
+    edge_set = set(c.edges())
     keyed = {}
     for key, val in coefficients.items():
         e = _as_simplex(key)
         if e not in edge_set:
             raise FieldError(f"{e} is not an edge of the complex")
         keyed[e] = val
-    for e in edges:
-        if e not in keyed:
+    # One pass over the simplices: the edges (u, v) of x that share u all
+    # write the entry (x \ {u}, x), in ascending v, which is basis order.
+    index = c._index_map()
+    zero = ix.dtype.type(0)
+    rows, cols, values = [], [], []
+    for k, x in enumerate(c.simplices):
+        if len(x) - 1 not in support:
             continue
-        coeff = keyed[e]
-        u = e[0]
-        for k, x in enumerate(c.simplices):
-            if not set(e) <= set(x):
+        for pos, u in enumerate(x[:-1]):
+            terms = [keyed[(u, v)] * (-1) ** pos for v in x[pos + 1 :] if (u, v) in keyed]
+            if not terms:
                 continue
-            y = tuple(v for v in x if v != u)
-            m = c.index(y)
-            value = (coeff if (len(x) - 1) in support else 0) * incidence_sign(x, y)
-            if overwrite_order:
-                ix[m, k] = value
-            else:
-                ix[m, k] += value
+            rows.append(index[x[:pos] + x[pos + 1 :]])
+            cols.append(k)
+            values.append(terms[-1] if overwrite_order else sum(terms, zero))
+    ix[rows, cols] = values
     return InteriorDerivative.from_matrix(c, ix)
 
 

@@ -1,13 +1,14 @@
 """Dense numerical kernels: spectra, nullspaces, pseudo-inverse, expm, RK4.
 
 Integer matrices get exact treatment where it matters (rank / kernel
-dimension via rational elimination); spectra are always floating point.
+dimension via fraction-free elimination on Python integers); spectra are
+always floating point.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import math
 
 import numpy as np
 import scipy.linalg
@@ -41,21 +42,37 @@ def eigenvalues(a) -> np.ndarray:
 
 
 def exact_rank(a) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
-    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(a)]
+    """Rank over the rationals by fraction-free elimination on Python ints.
+
+    A pivot updates only the rows with an entry in its column, row <- p * row
+    - f * pivot_row, and each updated row is divided by the gcd of its
+    entries.  Textbook Bareiss rescales every row below the pivot instead,
+    which is far slower on sparse boundary matrices.
+    """
+    rows = [list(map(int, row)) for row in np.asarray(a).tolist()]
+    rows = [row for row in rows if any(row)]
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        pivot = next((row for row in rows if row[col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / prow[col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], prow)]
         rank += 1
+        p = pivot[col]
+        rest = []
+        for row in rows:
+            if row is pivot:
+                continue
+            f = row[col]
+            if f:
+                row = [p * x - f * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                if g == 0:
+                    continue
+                if g > 1:
+                    row = [x // g for x in row]
+            rest.append(row)
+        rows = rest
     return rank
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .complexes import Complex, ComplexError
 from .exterior import PRESERVES, GradedOperator, degree_block
-from .linalg import eigenvalues, kernel_dimension, pair_spectra, rank
+from .linalg import eigenvalues, exact_rank, is_exact, kernel_dimension, pair_spectra, rank
 
 DEFAULT_TOL = 1e-7
 
@@ -56,14 +56,44 @@ def classical_betti(c: Complex, d: GradedOperator) -> list[int]:
     return out
 
 
+def _kernel_dimensions(block: np.ndarray, tol: float) -> tuple[int, int]:
+    """Geometric and generalized kernel dimension of a square block.
+
+    The generalized kernel is f - rank(B^k) at the first k where the rank
+    stops falling.  Integer powers are taken in Python ints (object dtype),
+    so they cannot overflow, and ranked exactly.  A float block keeps its
+    geometric count: a small nonzero eigenvalue e puts a singular value near
+    e^2 into B^2, which the rank tolerance would take for 0.
+    """
+    n = block.shape[0]
+    r = first = rank(block, tol)
+    if not is_exact(block):
+        return n - r, n - r
+    power = block = block.astype(object)
+    prev = n
+    while 0 < r < prev:
+        power = power @ block
+        prev, r = r, exact_rank(power)
+    return n - first, n - r
+
+
 def euler_poincare_check(c: Complex, lx: GradedOperator, tol: float = 1e-8) -> dict:
-    betti = betti_vector(c, lx, tol)
+    """chi(f-vector) against the alternating sum of kernel dimensions of L_X.
+
+    The identity holds for the algebraic multiplicity of the eigenvalue 0,
+    so "chi_betti" sums the generalized kernels; "betti" stays the geometric
+    kernel vector, which differs where L_X has a Jordan block at 0.
+    """
+    _require_preserving(lx)
+    dims = [_kernel_dimensions(degree_block(lx, p), tol) for p in range(c.dimension + 1)]
+    betti, generalized = map(list, zip(*dims))
     chi_f = c.euler_characteristic()
-    chi_betti = sum((-1) ** k * b for k, b in enumerate(betti))
+    chi_betti = sum((-1) ** k * b for k, b in enumerate(generalized))
     return {
         "chi_f": chi_f,
         "chi_betti": chi_betti,
         "betti": betti,
+        "generalized_kernel": generalized,
         "pass": chi_f == chi_betti,
     }
 

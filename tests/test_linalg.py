@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanflow import linalg
 
@@ -148,3 +150,37 @@ def test_pair_spectra_reports_worst_distance():
     assert not ok and worst == pytest.approx(0.5)
     ok, worst = linalg.pair_spectra([1j, -1j], [-1j, 1j], 1e-12)
     assert ok and worst == 0.0
+
+
+def _int_matrix(rows, cols, entries):
+    return np.array(entries, dtype=object).reshape(rows, cols)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide, empty and all-zero matrices, and rank-deficient products
+    of entries up to 10^9, whose products overflow int64."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    bound = draw(st.sampled_from([1, 3, 10**9]))
+    entries = st.integers(-bound, bound)
+    shape = draw(st.sampled_from(["plain", "product", "zero"]))
+    if shape == "zero":
+        return _int_matrix(rows, cols, [0] * (rows * cols))
+    if shape == "product":
+        inner = draw(st.integers(0, 4))
+        a = _int_matrix(rows, inner, draw(st.lists(entries, min_size=rows * inner,
+                                                   max_size=rows * inner)))
+        b = _int_matrix(inner, cols, draw(st.lists(entries, min_size=inner * cols,
+                                                   max_size=inner * cols)))
+        return a @ b if inner else _int_matrix(rows, cols, [0] * (rows * cols))
+    return _int_matrix(rows, cols, draw(st.lists(entries, min_size=rows * cols,
+                                                 max_size=rows * cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_exact_rank_matches_sympy_property(a):
+    expected = sp.Matrix(a.shape[0], a.shape[1], a.ravel().tolist()).rank()
+    assert linalg.exact_rank(a) == expected
+    if a.size and max(abs(x) for x in a.ravel()) < 2**62:
+        assert linalg.rank(a.astype(np.int64)) == expected

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanflow import (
+    Complex,
     ComplexError,
     adjoint_field,
     betti_vector,
@@ -91,6 +94,50 @@ def test_euler_poincare_k2_generic():
     result = euler_poincare_check(c, cx.LX)
     assert result["betti"] == [1, 0]
     assert result["chi_f"] == 1 == result["chi_betti"]
+
+
+
+def test_euler_poincare_counts_jordan_block_at_zero():
+    # L_X has a Jordan block at 0 on 1-forms: the geometric kernel [2, 1, 0, 0]
+    # sums to 1, the generalized kernel [2, 2, 0, 0] to chi_f = 0
+    c = random_complex(5, 8, 19)
+    ix = canonical_fields(c, "sparsified", 0.5, (19, 0))
+    result = euler_poincare_check(c, cartan(exterior_derivative(c), ix).LX)
+    assert result["betti"] == [2, 1, 0, 0]
+    assert result["generalized_kernel"] == [2, 2, 0, 0]
+    assert result["chi_f"] == 0 == result["chi_betti"]
+    assert result["pass"]
+
+
+def test_verify_passes_euler_poincare_on_jordan_block(capsys):
+    from cartanflow.cli import main
+
+    code = main(["verify", "--n", "5", "--m", "8", "--seed", "19", "--field", "sparsified"])
+    report = json.loads(capsys.readouterr().out)
+    (ep,) = [chk for chk in report["checks"] if chk["name"] == "euler_poincare"]
+    assert ep == {"name": "euler_poincare", "pass": True, "residual": 0}
+    assert report["data"]["betti"] == [2, 1, 0, 0]
+    assert report["data"]["chi_betti"] == report["data"]["chi_f"] == 0
+    assert code == 0
+
+
+
+def test_euler_poincare_float_block_keeps_geometric_count():
+    # L_X has the eigenvalue 3.5e-5 on 0- and 1-forms; its square 1.2e-9 would
+    # fall under the rank tolerance of L_X^2 and pass for a Jordan block at 0
+    c = random_complex(5, 8, (236, 5))
+    ix = random_edge_field(c, (236, 6), support=range(10))
+    result = euler_poincare_check(c, cartan(exterior_derivative(c), ix).LX)
+    assert result["betti"] == result["generalized_kernel"] == [1, 0, 0]
+    assert result["pass"]
+
+def test_generalized_kernel_powers_do_not_overflow():
+    # [[2^32, 2^32], [0, 0]] squared has entries 2^64, which wrap to 0 in int64
+    c = Complex.from_simplices([(1,), (2,)])
+    lx = GradedOperator(np.array([[2**32, 2**32], [0, 0]]), c, PRESERVES)
+    result = euler_poincare_check(c, lx)
+    assert result["betti"] == [1]
+    assert result["generalized_kernel"] == [1]
 
 
 def test_mckean_singer_c4_deterministic_blocks():
