@@ -295,6 +295,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (UsageError, complexes.ComplexError, fields.FieldError,
             linalg.LinalgError, deformation.DeformationError, OSError) as exc:

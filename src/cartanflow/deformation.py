@@ -75,7 +75,8 @@ class DeformationTrajectory:
         return inflation_series(self.u_series, self.steps)
 
     def to_csv(self) -> str:
-        v = self.inflation()
+        # a run that aborts on its first step has one u value and no v
+        v = self.inflation() if len(self.u_series) > 1 else []
         lines = ["step,u,v"]
         for k, u in enumerate(self.u_series):
             vk = f"{v[k]:.12g}" if k < len(v) else ""

@@ -29,18 +29,11 @@ def _is_zero(m: np.ndarray) -> bool:
     return float(np.max(np.abs(m))) <= _ZERO_TOL * scale if m.size else True
 
 
-def _nonzero_source_degrees(matrix: np.ndarray, c: Complex) -> frozenset:
-    deg = c.degrees()
-    _, cols = np.nonzero(matrix)
-    return frozenset(np.unique(deg[cols]).tolist())
-
-
 @dataclass(frozen=True)
 class InteriorDerivative:
     """A grading-lowering operator encoding a vector field."""
 
     op: GradedOperator
-    support: frozenset
     nilpotent_verified: bool
 
     @property
@@ -52,15 +45,16 @@ class InteriorDerivative:
         return self.op.complex_ref
 
     @staticmethod
-    def from_matrix(c: Complex, matrix, support=None) -> "InteriorDerivative":
+    def from_matrix(c: Complex, matrix) -> "InteriorDerivative":
         matrix = np.asarray(matrix)
         action = classify_grading(matrix, c)
         if action not in (LOWERS, PRESERVES) or (action == PRESERVES and np.any(matrix)):
             raise FieldError("interior derivative must lower degree by exactly one")
-        if support is None:
-            support = _nonzero_source_degrees(matrix, c)
-        nilpotent = _is_zero(matrix @ matrix)
-        return InteriorDerivative(GradedOperator(matrix, c, LOWERS), frozenset(support), nilpotent)
+        op = GradedOperator(matrix, c, LOWERS)
+        # i_X lives in the blocks (p-1, p), so i_X^2 can be nonzero only in (p-2, p)
+        nilpotent = all(_is_zero(op.block(p - 2, p - 1) @ op.block(p - 1, p))
+                        for p in range(2, c.dimension + 1))
+        return InteriorDerivative(op, nilpotent)
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ def deterministic_field(c: Complex) -> InteriorDerivative:
         if hits.size:
             l = int(hits[0])
             ix[k, l] = dt[k, l]
-    return InteriorDerivative.from_matrix(c, ix, support={1})
+    return InteriorDerivative.from_matrix(c, ix)
 
 
 def zero_field(c: Complex) -> InteriorDerivative:
@@ -209,18 +203,19 @@ def _same_complex(*ops):
 
 
 def cartan(d: GradedOperator, ix: InteriorDerivative) -> CartanOperators:
-    """Assemble D_X = d + i_X and L_X = d i_X + i_X d."""
+    """Assemble D_X = d + i_X and L_X = d i_X + i_X d, for a `d` with d^2 = 0.
+
+    D_X^2 - L_X = d^2 + i_X^2, so D_X^2 = L_X holds exactly when i_X^2 = 0,
+    which `from_matrix` has already decided.
+    """
     c = _same_complex(d, ix.op)
     dm = d.matrix
     im = ix.matrix
-    dx = dm + im
-    lx = dm @ im + im @ dm
-    holds = _is_zero(dx @ dx - lx)
     return CartanOperators(
         ix,
-        GradedOperator(dx, c, MIXED),
-        GradedOperator(lx, c, PRESERVES),
-        holds,
+        GradedOperator(dm + im, c, MIXED),
+        GradedOperator(dm @ im + im @ dm, c, PRESERVES),
+        ix.nilpotent_verified,
     )
 
 

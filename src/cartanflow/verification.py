@@ -47,13 +47,12 @@ def run_checks(
         iym = iy.matrix
         # identities involving i_Y are exact only when both fields are integer
         exact_xy = exact and np.issubdtype(iym.dtype, np.integer)
-        iz1 = cx.LX.matrix @ iym - iym @ cx.LX.matrix
-        iz2 = im @ cy.LX.matrix - cy.LX.matrix @ im
         iz = lie_bracket(ix, iy, d)
+        iz2 = im @ cy.LX.matrix - cy.LX.matrix @ im
         cz = cartan(d, iz)
         commuting = _residual(im @ iym) == 0 and _residual(iym @ im) == 0
         if commuting:
-            checks.append(_check("bracket_two_forms_agree", iz1 - iz2, exact_xy, tol))
+            checks.append(_check("bracket_two_forms_agree", iz.matrix - iz2, exact_xy, tol))
         checks.append(_check(
             "lie_algebra_relation",
             cz.LX.matrix - (cx.LX.matrix @ cy.LX.matrix - cy.LX.matrix @ cx.LX.matrix),

@@ -1,12 +1,14 @@
-"""Pinned `verify` and `survey` artifacts: stdout must stay byte-identical.
+"""Pinned CLI artifacts: stdout must stay byte-identical.
 
-Performance work on the exact layers (rank, `d`, field assembly) must not
-change a single byte of these reports.  Each case is a CLI invocation and the
-SHA-256 of its stdout, recorded before the integer kernels were rewritten
-(numpy 2.4, scipy 1.17, OpenBLAS, x86-64).  The cases cover every field kind,
-with and without `--integer-coeffs`, and none has a Jordan block of L_X at 0,
-so they do not depend on how Euler-Poincare counts kernels.  A deliberate
-change to a report's format or numbers must update this table.
+Performance work on the exact layers (rank, `d`, field assembly, `cartan`)
+must not change a single byte of these reports.  Each case is a CLI
+invocation and the SHA-256 of its stdout (numpy 2.4, scipy 1.17, OpenBLAS,
+x86-64).  The `verify` cases cover every field kind, with and without
+`--integer-coeffs`, plus one field with i_X^2 != 0 under `--support all`;
+none has a Jordan block of L_X at 0, so they do not depend on how
+Euler-Poincare counts kernels.  The other commands are pinned once each,
+since `cartan` feeds every one of them.  A deliberate change to a report's
+format or numbers must update this table.
 """
 
 import hashlib
@@ -56,6 +58,20 @@ PINNED = [
      "44611bf19734d67445fbc0f75f69c7d269a024c3e4875d10b359a9886601a8a8"),
     ("verify --n 6 --m 7 --seed 13 --field sparsified --integer-coeffs",
      "ce2355988108c5f6afa6109b3c158d735af2d711fa008d11c11ebbe5bbb9b38d"),
+    ("verify --n 5 --m 8 --seed 3 --field sparsified --support all",
+     "d50a99c356582fd44fe4f48cf8ced3c3e3a0b535ba4acdc64721c92211a7c0e2"),
+    ("evolve --n 6 --m 8 --seed 4 --field edge-random --steps 7",
+     "17425c36e3d7af36b0f7ad8874140945d5562f42a1d4afdd05824bf3805153bc"),
+    ("deform --n 6 --m 8 --seed 4 --field edge-random --steps 20",
+     "06a39b61ace1faf33bea534af90166b1c1d3b41c181cdee6b51169712f193028"),
+    ("deform --n 6 --m 8 --seed 4 --field sparsified --steps 20 --format json",
+     "e281a70e444d3fa58f23a7f856cc238a627a70022c0ab761370fe951fa964002"),
+    ("spectrum --n 6 --m 8 --seed 4 --field edge-random --support all",
+     "b8b16949f731f52f9a6c3cd81a1e641c9128533c15ed9f4c839000b022068eda"),
+    ("spectrum --n 6 --m 8 --seed 4 --field deterministic --format json",
+     "55a8b7fccd71df531a3797aae793ca3414bb08c611a0e7b929d3b90420412d29"),
+    ("operators --n 5 --m 6 --seed 4 --field edge-random --support all --integer-coeffs",
+     "44822eecd2a3d9a633c6bdb756e262961883b8311f7db59208cae3254e5efcb9"),
     ("survey --trials 4 --n 6 --m 8 --seed 2 --field edge-random",
      "312585099cee177341f2b9a34ffad06fc2891828873ca4f9ad3b1bfde684a5d7"),
     ("survey --trials 4 --n 6 --m 8 --seed 5 --field sparsified --integer-coeffs",

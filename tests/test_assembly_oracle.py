@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cartanflow import build_edge_field, exterior_derivative, random_complex
 from cartanflow.complexes import _as_simplex
 from cartanflow.exterior import classify_grading, incidence_sign
-from cartanflow.fields import FieldError, _nonzero_source_degrees
+from cartanflow.fields import FieldError
 
 
 def oracle_exterior_derivative(c):
@@ -75,12 +75,6 @@ def oracle_classify_grading(matrix, c):
     return "mixed"
 
 
-def oracle_nonzero_source_degrees(matrix, c):
-    deg = c.degrees()
-    _, cols = np.nonzero(matrix)
-    return frozenset(int(deg[j]) for j in cols)
-
-
 complexes = st.builds(
     random_complex,
     st.integers(2, 7),
@@ -134,4 +128,3 @@ def test_grading_scans_match_per_entry_sets(c, seed):
     masked = [m * (rng.random(m.shape) < rng.random()) for m in candidates]
     for m in candidates + masked:
         assert classify_grading(m, c) == oracle_classify_grading(m, c)
-        assert _nonzero_source_degrees(m, c) == oracle_nonzero_source_degrees(m, c)

@@ -45,6 +45,9 @@ def test_unknown_field_kind_exits_2(capsys):
     (["spectrum"], '{"facets": [[1, 2'),
     (["spectrum"], '{"facets": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]]}'),
     (["evolve", "--n", "4", "--m", "4", "--time", "nan"], None),
+    (["gen", "--n", "4", "--m", "4", "--seed", "-1"], None),
+    (["verify", "--n", "4", "--m", "4", "--seed", "-1"], None),
+    (["survey", "--trials", "1", "--n", "4", "--m", "4", "--seed", "-1"], None),
 ])
 def test_bad_input_exits_2_with_error(argv, complex_text, tmp_path, capsys):
     if complex_text is not None:
@@ -64,6 +67,17 @@ def test_deform_one_step_csv_names_steps(capsys):
                         "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["steps"] == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_deform_blowup_on_first_step_exits_1_in_both_formats(capsys):
+    argv = ["deform", "--n", "4", "--m", "3", "--time", "1e300", "--steps", "1000"]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    assert out == "step,u,v\n0,2,\n"
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 1
+    assert '"aborted": true' in out
 
 
 def test_missing_complex_file_exits_2(capsys):

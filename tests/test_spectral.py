@@ -213,14 +213,18 @@ def test_spectral_symmetry_case_has_parity_symmetric_charpoly():
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 6), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(FIELD_KINDS), p=st.floats(0.0, 1.0))
-def test_cartan_identities_exact_on_integer_fields(n, m, seed, kind, p):
+       kind=st.sampled_from(FIELD_KINDS), p=st.floats(0.0, 1.0),
+       support=st.sampled_from([(1, 3, 5, 7, 9), tuple(range(10)), (1, 2)]))
+def test_cartan_identities_exact_on_integer_fields(n, m, seed, kind, p, support):
     c = random_complex(n, m, seed)
     d = exterior_derivative(c)
-    ix = canonical_fields(c, kind, p, seed, integer_coeffs=True)
+    ix = canonical_fields(c, kind, p, seed, support, integer_coeffs=True)
     cx = cartan(d, ix)
-    dm, dx, lx = d.matrix, cx.DX.matrix, cx.LX.matrix
+    dm, im, dx, lx = d.matrix, ix.matrix, cx.DX.matrix, cx.LX.matrix
     assert all(np.issubdtype(a.dtype, np.integer) for a in (dm, dx, lx))
+    # the degree-block decision and the factorization against dense products
+    assert ix.nilpotent_verified == (not np.any(im @ im))
+    assert cx.factorization_holds == (not np.any(dx @ dx - lx))
     sign = (-1) ** c.degrees()
     assert np.array_equal(sign[:, None] * dx * sign[None, :], -dx)  # P D_X P = -D_X
     assert not np.any(dm @ dm)
