@@ -186,15 +186,24 @@ def grading_summary(c: Complex):
     return c.f_vector, c.block_offsets, c.dimension, c.euler_characteristic()
 
 
+def _vertex_lists(value) -> list:
+    # JSON arrays of integers only: no floats, bools or strings read as labels
+    if not isinstance(value, list) or not all(
+        isinstance(s, list) and all(type(v) is int for v in s) for s in value
+    ):
+        raise ComplexError("simplices must be JSON arrays of integer vertex labels")
+    return value
+
+
 def load_complex(path) -> Complex:
     """Load a complex from JSON: {"facets": [...]} or {"simplices": [...]}."""
     with open(path) as fh:
         try:
             data = json.load(fh)
             if "facets" in data:
-                return generate_closure(data["facets"])
+                return generate_closure(_vertex_lists(data["facets"]))
             if "simplices" in data:
-                return Complex.from_simplices(data["simplices"], require_closed=True)
+                return Complex.from_simplices(_vertex_lists(data["simplices"]), require_closed=True)
         except ComplexError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:

@@ -84,11 +84,13 @@ class DeformationTrajectory:
         return "\n".join(lines) + "\n"
 
     def summary_json(self) -> str:
-        diag = dict(self.diagnostics)
+        # an aborted run can leave non-finite norms, which JSON spells null
+        diag = {k: v if not isinstance(v, float) or np.isfinite(v) else None
+                for k, v in self.diagnostics.items()}
         for key in ("spectrum_start", "spectrum_end"):
             diag[key] = [[z.real, z.imag] for z in diag[key]]
         return json.dumps({"steps": self.steps, "dt": self.dt,
-                           "aborted": self.aborted, "diagnostics": diag})
+                           "aborted": self.aborted, "diagnostics": diag}, allow_nan=False)
 
 
 def run_deformation(
@@ -104,8 +106,8 @@ def run_deformation(
     stages (reference loop behaviour); consistent_rk4 recomputes B at every
     stage, which is the variant to use for step-halving convergence studies.
     """
-    if steps < 1 or not total_time > 0:
-        raise DeformationError("need steps >= 1 and total_time > 0")
+    if steps < 1 or not 0 < total_time < np.inf:
+        raise DeformationError("need steps >= 1 and a finite total_time > 0")
     c = dx0.complex_ref
     h = total_time / steps
     dd = np.asarray(dx0.matrix, dtype=complex)

@@ -162,14 +162,21 @@ def test_criterion_05_lie_algebra_suite():
     report("5 Lie algebra suite (50 field pairs, exact)")
 
 
+def mckean_singer_paired(c, cx, tol=1e-7):
+    """The certificate passes and the computed nonzero spectra pair within tol."""
+    result = mckean_singer_check(c, cx, tol)
+    scale = max(1.0, float(np.max(np.abs(cx.LX.matrix))))
+    return result["pass"] and result["residual"] <= tol * scale
+
+
 def test_criterion_06_mckean_singer():
     for seed in range(50):
         c = random_case(seed)
         cx = cartan(exterior_derivative(c), random_edge_field(c, (600, seed)))
-        assert mckean_singer_check(c, cx.LX, 1e-7)["pass"], seed
+        assert mckean_singer_paired(c, cx), seed
     c = whitney_complex(ref.C4_EDGES)
     cx = cartan(exterior_derivative(c), adjoint_field(c))
-    assert mckean_singer_check(c, cx.LX, 1e-7)["pass"]
+    assert mckean_singer_paired(c, cx)
     report("6 McKean-Singer even/odd nonzero spectra (50 fields + Hodge case)")
 
 

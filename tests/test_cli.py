@@ -48,6 +48,11 @@ def test_unknown_field_kind_exits_2(capsys):
     (["gen", "--n", "4", "--m", "4", "--seed", "-1"], None),
     (["verify", "--n", "4", "--m", "4", "--seed", "-1"], None),
     (["survey", "--trials", "1", "--n", "4", "--m", "4", "--seed", "-1"], None),
+    (["deform", "--n", "4", "--m", "4", "--time", "inf", "--steps", "10"], None),
+    # vertex labels are JSON integers only, never coerced from floats, bools or strings
+    (["spectrum"], '{"facets": [[1, 2], [2, 3.5]]}'),
+    (["spectrum"], '{"facets": [[true, 2]]}'),
+    (["spectrum"], '{"facets": ["12"]}'),
 ])
 def test_bad_input_exits_2_with_error(argv, complex_text, tmp_path, capsys):
     if complex_text is not None:
@@ -77,7 +82,13 @@ def test_deform_blowup_on_first_step_exits_1_in_both_formats(capsys):
     assert out == "step,u,v\n0,2,\n"
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 1
-    assert '"aborted": true' in out
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    summary = json.loads(out, parse_constant=reject)
+    assert summary["aborted"] is True
+    assert summary["diagnostics"]["d_squared_norm"] is None
 
 
 def test_missing_complex_file_exits_2(capsys):

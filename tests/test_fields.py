@@ -228,7 +228,10 @@ def test_lie_algebra_identities_for_odd_fields(seed):
 def test_lie_derivative_commutes_with_d_without_nilpotency():
     c = generate_closure([(1, 2, 3), (2, 3, 4)])
     d = exterior_derivative(c)
-    # even-supported field: i_X^2 = 0 not guaranteed, commutation still exact
-    ix = random_edge_field(c, 5, support=(1, 2), integer_coeffs=True)
+    # accumulated edge coefficients 1..k on degrees 1 and 2 give i_X^2 != 0;
+    # L_X d = d L_X needs only d^2 = 0
+    coeffs = {e: k for k, e in enumerate(c.edges(), start=1)}
+    ix = build_edge_field(c, coeffs, support=(1, 2), overwrite_order=False)
+    assert not ix.nilpotent_verified
     lx = cartan(d, ix).LX.matrix
     assert np.array_equal(lx @ d.matrix, d.matrix @ lx)

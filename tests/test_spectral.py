@@ -11,6 +11,7 @@ from cartanflow import (
     ComplexError,
     adjoint_field,
     betti_vector,
+    build_edge_field,
     canonical_fields,
     cartan,
     classical_betti,
@@ -140,11 +141,18 @@ def test_generalized_kernel_powers_do_not_overflow():
     assert result["generalized_kernel"] == [1]
 
 
+def paired_mckean_singer(c, cx, tol=1e-7):
+    """The McKean-Singer certificate, plus the numerical pairing it no longer judges."""
+    result = mckean_singer_check(c, cx, tol)
+    assert result["pass"]
+    assert result["residual"] <= tol * max(1.0, float(np.max(np.abs(cx.LX.matrix))))
+    return result
+
+
 def test_mckean_singer_c4_deterministic_blocks():
     c = whitney_complex(ref.C4_EDGES)
     cx = cartan(exterior_derivative(c), deterministic_field(c))
-    result = mckean_singer_check(c, cx.LX)
-    assert result["pass"]
+    result = paired_mckean_singer(c, cx)
     assert np.allclose(sorted(z.real for z in result["even_nonzero"]), [1, 1, 2])
     assert np.allclose(sorted(z.real for z in result["odd_nonzero"]), [1, 1, 2])
 
@@ -155,8 +163,7 @@ def test_mckean_singer_k2_parametric():
 
     a, b = -0.3, 0.9
     cx = cartan(exterior_derivative(c), InteriorDerivative.from_matrix(c, ref.k2_ix(a, b)))
-    result = mckean_singer_check(c, cx.LX)
-    assert result["pass"]
+    result = paired_mckean_singer(c, cx)
     assert np.allclose([z.real for z in result["even_nonzero"]], [b - a])
     assert np.allclose([z.real for z in result["odd_nonzero"]], [b - a])
 
@@ -164,8 +171,7 @@ def test_mckean_singer_k2_parametric():
 def test_mckean_singer_zero_field_is_empty():
     c = random_complex(5, 8, 31)
     cx = cartan(exterior_derivative(c), zero_field(c))
-    result = mckean_singer_check(c, cx.LX)
-    assert result["pass"]
+    result = paired_mckean_singer(c, cx)
     assert result["even_nonzero"] == [] and result["odd_nonzero"] == []
 
 
@@ -239,14 +245,75 @@ def test_random_odd_field_spectral_properties(seed):
     ix = random_edge_field(c, (seed, 78))
     cx = cartan(d, ix)
     assert euler_poincare_check(c, cx.LX)["pass"]
-    assert mckean_singer_check(c, cx.LX)["pass"]
+    paired_mckean_singer(c, cx)
     assert spectral_symmetry_check(cx.DX)["pass"]
+
+
+def nonzero_charpoly(c, lx, parity):
+    """Product of the sympy char-polys of the degree blocks of one parity,
+    with the powers of x stripped: it carries the nonzero spectrum exactly."""
+    x = sp.Symbol("x")
+    poly = sp.Poly(1, x)
+    for p in range(parity, c.dimension + 1, 2):
+        poly *= sp.Matrix(lx[c.block(p), c.block(p)].tolist()).charpoly(x)
+    coeffs = poly.all_coeffs()
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 6), m=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(FIELD_KINDS + ("accumulate",)), p=st.floats(0.2, 0.8),
+       support=st.sampled_from([(1, 3, 5, 7, 9), tuple(range(10)), (1, 2)]))
+def test_mckean_singer_certificate_agrees_with_exact_charpolys(n, m, seed, kind, p, support):
+    c = random_complex(n, m, seed)
+    if kind == "accumulate":
+        # summed edge coefficients, the edge-field mode where i_X^2 != 0 is common
+        rng = np.random.default_rng(seed)
+        coeffs = {e: int(rng.choice([-2, -1, 1, 2])) for e in c.edges()}
+        ix = build_edge_field(c, coeffs, support=support, overwrite_order=False)
+    else:
+        ix = canonical_fields(c, kind, p, seed, support, integer_coeffs=True)
+    cx = cartan(exterior_derivative(c), ix)
+    lx = cx.LX.matrix
+    assert np.issubdtype(lx.dtype, np.integer)
+    assert nonzero_charpoly(c, lx, 0) == nonzero_charpoly(c, lx, 1)
+    assert mckean_singer_check(c, cx)["pass"]
+
+
+def test_mckean_singer_certificate_decides_when_pairing_misses(capsys):
+    from cartanflow.cli import main
+
+    # sparsified d^T on 31 simplices: L_X has a defective nonzero cluster, so the
+    # computed even and odd spectra pair only to 6.3e-6, far past 1e-7 * scale
+    c = random_complex(5, 8, 13)
+    lx = cartan(exterior_derivative(c), canonical_fields(c, "sparsified", 0.5, (13, 0))).LX
+    assert nonzero_charpoly(c, lx.matrix, 0) == nonzero_charpoly(c, lx.matrix, 1)
+    code = main(["verify", "--n", "5", "--m", "8", "--seed", "13", "--field", "sparsified"])
+    report = json.loads(capsys.readouterr().out)
+    for checks in (report["checks"], report["data"]["checks"]):
+        (ms,) = [chk for chk in checks if chk["name"] == "mckean_singer"]
+        assert ms["pass"]
+        assert ms["residual"] == pytest.approx(6.3e-6, rel=0.05)
+        assert ms["residual"] > 1e-7 * max(1.0, float(np.max(np.abs(lx.matrix))))
+    assert code == 0
+
+
+def test_mckean_singer_fails_without_d_squared_zero():
+    # an operator in the place of d with d^2 != 0 breaks the certificate
+    c = whitney_complex([(1, 2), (1, 3), (2, 3)])
+    d = exterior_derivative(c)
+    broken = GradedOperator(np.abs(d.matrix), c, d.grading_action)
+    assert np.any(broken.matrix @ broken.matrix)
+    assert not mckean_singer_check(c, cartan(broken, zero_field(c)))["pass"]
+    assert mckean_singer_check(c, cartan(d, zero_field(c)))["pass"]
 
 
 def test_spectral_report_shapes_and_json():
     c = whitney_complex(ref.C4_EDGES)
     cx = cartan(exterior_derivative(c), deterministic_field(c))
-    report = spectral_report(c, cx.DX, cx.LX)
+    report = spectral_report(c, cx)
     assert [len(b) for b in report.per_degree_spectra] == list(c.f_vector)
     assert report.passed()
     payload = report.to_json()
@@ -263,7 +330,7 @@ def test_spectral_report_eigensolves_each_degree_block_once(monkeypatch):
     monkeypatch.setattr(spectral, "eigenvalues", counting)
     c = random_complex(8, 12, 1)
     cx = cartan(exterior_derivative(c), random_edge_field(c, 1))
-    spectral_report(c, cx.DX, cx.LX)
+    spectral_report(c, cx)
     # one call per degree block of L_X, plus one for D_X
     assert len(calls) == c.dimension + 2
     assert sorted(calls) == sorted([(f, f) for f in c.f_vector] + [(c.n, c.n)])
