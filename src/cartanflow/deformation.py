@@ -124,19 +124,20 @@ def run_deformation(
     u_series: list[float] = []
     snapshots = []
     aborted = False
-    for m in range(steps):
-        d, e, b = _split(dd, keep)
-        if consistent_rk4:
-            dd = rk4_step(commutator_field, dd, h)
-        else:
-            bmat = (d - e) + 1j * b
-            dd = rk4_step(lambda x: bmat @ x - x @ bmat, dd, h)
-        u_series.append(_l1(d))
-        if sample_every and (m + 1) % sample_every == 0:
-            snapshots.append(dd.copy())
-        if not np.all(np.isfinite(dd)):
-            aborted = True
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps):
+            d, e, b = _split(dd, keep)
+            if consistent_rk4:
+                dd = rk4_step(commutator_field, dd, h)
+            else:
+                bmat = (d - e) + 1j * b
+                dd = rk4_step(lambda x: bmat @ x - x @ bmat, dd, h)
+            u_series.append(_l1(d))
+            if sample_every and (m + 1) % sample_every == 0:
+                snapshots.append(dd.copy())
+            if not np.all(np.isfinite(dd)):
+                aborted = True
+                break
     d, e, _ = _split(dd, keep)
     diagnostics = {
         "d_squared_norm": _l1(d @ d),

@@ -38,7 +38,7 @@ def eigenvalues(a) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise LinalgError("matrix entries must be finite")
     ev = np.linalg.eigvals(a)
-    return np.array(sorted(ev, key=lambda z: (z.real, z.imag)))
+    return ev[np.lexsort((ev.imag, ev.real))]
 
 
 def exact_rank(a) -> int:

@@ -99,18 +99,23 @@ def euler_poincare_check(c: Complex, lx: GradedOperator, tol: float = 1e-8) -> d
     }
 
 
-def _mckean_singer(c: Complex, cx: CartanOperators, spectra, tol: float) -> dict:
-    scale = max(1.0, float(np.max(np.abs(cx.LX.matrix))))
+def _d_squared_residual(c: Complex, dx: GradedOperator) -> float:
+    """max |d^2| over its only blocks d_{p+2,p+1} d_{p+1,p}, which D_X = d + i_X shares."""
+    return max((float(np.max(np.abs(dx.block(p + 2, p + 1) @ dx.block(p + 1, p)), initial=0))
+                for p in range(c.dimension - 1)), default=0.0)
+
+
+def _mckean_singer(lx: GradedOperator, spectra, tol: float, d_squared: float) -> dict:
+    scale = max(1.0, float(np.max(np.abs(lx.matrix))))
     even = np.array([z for ev in spectra[0::2] for z in ev], dtype=complex)
     odd = np.array([z for ev in spectra[1::2] for z in ev], dtype=complex)
     even_nz = even[np.abs(even) > tol * scale]
     odd_nz = odd[np.abs(odd) > tol * scale]
     _, worst = pair_spectra(even_nz, odd_nz, tol * scale)
-    b = cx.DX.block
     return {
         "even_nonzero": sorted(even_nz, key=lambda z: (z.real, z.imag)),
         "odd_nonzero": sorted(odd_nz, key=lambda z: (z.real, z.imag)),
-        "pass": not any(np.any(b(p + 2, p + 1) @ b(p + 1, p)) for p in range(c.dimension - 1)),
+        "pass": d_squared == 0,
         "residual": worst if np.isfinite(worst) else None,
     }
 
@@ -140,7 +145,7 @@ def mckean_singer_check(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TO
     not judged: a defective nonzero cluster of a non-normal L_X scatters
     computed eigenvalues far beyond tol while the identity holds exactly.
     """
-    return _mckean_singer(c, cx, degree_spectra(c, cx.LX), tol)
+    return _mckean_singer(cx.LX, degree_spectra(c, cx.LX), tol, _d_squared_residual(c, cx.DX))
 
 
 def spectral_symmetry_check(dx: GradedOperator, tol: float = DEFAULT_TOL) -> dict:
@@ -175,6 +180,7 @@ class SpectralReport:
     algebraic_kernel: list
     euler_from_f: int
     euler_from_betti: int
+    d_squared_residual: float  # max |d^2|, the certificate behind mckean_singer
     checks: list = field(default_factory=list)
 
     def passed(self) -> bool:
@@ -199,7 +205,8 @@ def spectral_report(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL) -
     """Bundle the spectral checks for the Cartan operators of one field."""
     spectra = degree_spectra(c, cx.LX)
     ep = euler_poincare_check(c, cx.LX)
-    ms = _mckean_singer(c, cx, spectra, tol)
+    d2 = _d_squared_residual(c, cx.DX)
+    ms = _mckean_singer(cx.LX, spectra, tol, d2)
     sym = spectral_symmetry_check(cx.DX, tol)
     alg = _algebraic_kernel(cx.LX, spectra, tol)
     checks = [
@@ -214,4 +221,4 @@ def spectral_report(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL) -
          "informational": True},
     ]
     per_degree = [[complex(z) for z in ev] for ev in spectra]
-    return SpectralReport(per_degree, ep["betti"], alg, ep["chi_f"], ep["chi_betti"], checks)
+    return SpectralReport(per_degree, ep["betti"], alg, ep["chi_f"], ep["chi_betti"], d2, checks)

@@ -1,9 +1,14 @@
+import hashlib
+import itertools
 import json
+import warnings
 
 import pytest
+from test_artifacts import PINNED
 
 from cartanflow import dynamics, linalg
-from cartanflow.cli import main, survey
+from cartanflow.cli import build_parser, main, survey
+from cartanflow.fields import FIELD_KINDS
 
 
 def run(args, capsys):
@@ -74,14 +79,17 @@ def test_deform_one_step_csv_names_steps(capsys):
     assert json.loads(out)["steps"] == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_deform_blowup_on_first_step_exits_1_in_both_formats(capsys):
     argv = ["deform", "--n", "4", "--m", "3", "--time", "1e300", "--steps", "1000"]
-    code, out, _ = run(argv, capsys)
-    assert code == 1
-    assert out == "step,u,v\n0,2,\n"
-    code, out, _ = run(argv + ["--format", "json"], capsys)
-    assert code == 1
+    # record every warning: the overflow of a blow-up must not leak to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(argv, capsys)
+        assert code == 1
+        assert out == "step,u,v\n0,2,\n"
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 1
+    assert [str(w.message) for w in caught] == []
 
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")
@@ -205,3 +213,40 @@ def test_survey_adjoint_on_fixture_is_integer(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["data"]["trials"] == 3
+
+
+def test_verify_exit_code_agrees_with_report_over_ladder_shapes(capsys):
+    """In one process: exit 0 or 1, JSON stdout, and 1 exactly when a judged check fails."""
+    shapes = [(5, 8), (6, 6), (6, 7), (7, 5)]
+    for (n, m), kind, integer, seed in itertools.product(
+            shapes, FIELD_KINDS, (False, True), range(10)):
+        argv = ["verify", "--n", str(n), "--m", str(m), "--seed", str(seed), "--field", kind]
+        argv += ["--integer-coeffs"] if integer else []
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        failing = [chk["name"] for chk in report["checks"]
+                   if not chk["pass"] and not chk.get("informational")]
+        assert code == (1 if failing else 0), (argv, code, failing)
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    pinned = dict(PINNED)
+    verify = "verify --n 5 --m 8 --seed 3 --field adjoint"
+    fresh_help = build_parser.__wrapped__().format_help()
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    for _ in range(2):
+        assert run(["--help"], capsys)[:2] == (0, fresh_help)
+        code, out, err = run(["verify", "--badflag"], capsys)
+        assert (code, out) == (2, "") and "--badflag" in err
+        for argv in (verify + " --integer-coeffs", verify):
+            code, out, _ = run(argv.split(), capsys)
+            assert code == 0 and digest(out) == pinned[argv], argv
+        report = tmp_path / "report.json"
+        assert run(verify.split() + ["--out", str(report)], capsys)[:2] == (0, "")
+        assert digest(report.read_text()) == pinned[verify]
+        code, out, _ = run(verify.split(), capsys)
+        assert code == 0 and digest(out) == pinned[verify]

@@ -31,6 +31,24 @@ def test_eigenvalues_against_characteristic_polynomial():
         assert ok, worst
 
 
+# a small pool forces exact ties in both parts, signed zeros among them
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                   st.floats(allow_nan=False, width=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1, max_size=12))
+def test_eigenvalues_sort_matches_python_sort(values):
+    """The (Re, Im) order equals the stable Python sort, bit for bit."""
+    raw = np.array(values, dtype=complex)
+    oracle = np.array(sorted(raw, key=lambda z: (z.real, z.imag)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", lambda a: raw.copy())
+        ev = linalg.eigenvalues(np.zeros((len(values), len(values))))
+    assert ev.dtype == oracle.dtype
+    assert ev.tobytes() == oracle.tobytes()
+
+
 def test_eigenvalues_trace_identity():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((8, 8))
