@@ -66,6 +66,12 @@ class CartanOperators:
     LX: GradedOperator
     factorization_holds: bool  # D_X^2 == L_X, equivalent to i_X^2 == 0
 
+    def bracket(self, iy: InteriorDerivative) -> InteriorDerivative:
+        """i_[X,Y] = L_X i_Y - i_Y L_X."""
+        lx = self.LX.matrix
+        return InteriorDerivative.from_matrix(
+            _same_complex(self.LX, iy.op), lx @ iy.matrix - iy.matrix @ lx)
+
 
 def build_edge_field(
     c: Complex,
@@ -223,7 +229,4 @@ def lie_bracket(
     ix: InteriorDerivative, iy: InteriorDerivative, d: GradedOperator
 ) -> InteriorDerivative:
     """i_[X,Y] = L_X i_Y - i_Y L_X."""
-    c = _same_complex(ix.op, iy.op, d)
-    lx = cartan(d, ix).LX.matrix
-    iz = lx @ iy.matrix - iy.matrix @ lx
-    return InteriorDerivative.from_matrix(c, iz)
+    return cartan(d, ix).bracket(iy)

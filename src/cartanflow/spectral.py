@@ -10,7 +10,7 @@ import numpy as np
 from .complexes import Complex, ComplexError
 from .exterior import PRESERVES, GradedOperator, degree_block
 from .fields import CartanOperators
-from .linalg import eigenvalues, exact_rank, is_exact, kernel_dimension, pair_spectra, rank
+from .linalg import eigenvalues, kernel_dimension, pair_spectra, rank
 
 DEFAULT_TOL = 1e-7
 
@@ -57,52 +57,34 @@ def classical_betti(c: Complex, d: GradedOperator) -> list[int]:
     return out
 
 
-def _kernel_dimensions(block: np.ndarray, tol: float) -> tuple[int, int]:
-    """Geometric and generalized kernel dimension of a square block.
-
-    The generalized kernel is f - rank(B^k) at the first k where the rank
-    stops falling.  Integer powers are taken in Python ints (object dtype),
-    so they cannot overflow, and ranked exactly.  A float block keeps its
-    geometric count: a small nonzero eigenvalue e puts a singular value near
-    e^2 into B^2, which the rank tolerance would take for 0.
-    """
-    n = block.shape[0]
-    r = first = rank(block, tol)
-    if not is_exact(block):
-        return n - r, n - r
-    power = block = block.astype(object)
-    prev = n
-    while 0 < r < prev:
-        power = power @ block
-        prev, r = r, exact_rank(power)
-    return n - first, n - r
-
-
-def euler_poincare_check(c: Complex, lx: GradedOperator, tol: float = 1e-8) -> dict:
-    """chi(f-vector) against the alternating sum of kernel dimensions of L_X.
-
-    The identity holds for the algebraic multiplicity of the eigenvalue 0,
-    so "chi_betti" sums the generalized kernels; "betti" stays the geometric
-    kernel vector, which differs where L_X has a Jordan block at 0.
-    """
-    _require_preserving(lx)
-    dims = [_kernel_dimensions(degree_block(lx, p), tol) for p in range(c.dimension + 1)]
-    betti, generalized = map(list, zip(*dims))
-    chi_f = c.euler_characteristic()
-    chi_betti = sum((-1) ** k * b for k, b in enumerate(generalized))
-    return {
-        "chi_f": chi_f,
-        "chi_betti": chi_betti,
-        "betti": betti,
-        "generalized_kernel": generalized,
-        "pass": chi_f == chi_betti,
-    }
-
-
 def _d_squared_residual(c: Complex, dx: GradedOperator) -> float:
     """max |d^2| over its only blocks d_{p+2,p+1} d_{p+1,p}, which D_X = d + i_X shares."""
     return max((float(np.max(np.abs(dx.block(p + 2, p + 1) @ dx.block(p + 1, p)), initial=0))
                 for p in range(c.dimension - 1)), default=0.0)
+
+
+def _euler_poincare(c: Complex, lx: GradedOperator, alg: list[int], d_squared: float) -> dict:
+    return {"chi_f": c.euler_characteristic(),
+            "chi_betti": sum((-1) ** p * a for p, a in enumerate(alg)),
+            "betti": betti_vector(c, lx), "pass": d_squared == 0}
+
+
+def euler_poincare_check(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL) -> dict:
+    """chi(f-vector) against the alternating sum of algebraic kernels of L_X.
+
+    The verdict is the certificate of `mckean_singer_check`: by its steps
+    1-3, the generalized eigenspace of L_X for each lambda != 0 is an exact
+    complex, so its alternating dimension sum is 0.  The forms split into
+    these eigenspaces and the generalized kernel, so
+    sum_p (-1)^p dim genker L_X|Lambda^p = sum_p (-1)^p f_p = chi whenever
+    d^2 = 0 and L_X = d i_X + i_X d.  So "pass" is d^2 = 0.
+
+    "chi_betti" sums `algebraic_kernel_vector`, counted numerically at tol,
+    and |chi_f - chi_betti| is reported, not judged.  "betti" is the
+    geometric kernel vector, which differs where L_X has a Jordan block at 0.
+    """
+    alg = algebraic_kernel_vector(c, cx.LX, tol)
+    return _euler_poincare(c, cx.LX, alg, _d_squared_residual(c, cx.DX))
 
 
 def _mckean_singer(lx: GradedOperator, spectra, tol: float, d_squared: float) -> dict:
@@ -180,7 +162,7 @@ class SpectralReport:
     algebraic_kernel: list
     euler_from_f: int
     euler_from_betti: int
-    d_squared_residual: float  # max |d^2|, the certificate behind mckean_singer
+    d_squared_residual: float  # max |d^2|, the certificate of euler_poincare and mckean_singer
     checks: list = field(default_factory=list)
 
     def passed(self) -> bool:
@@ -204,11 +186,11 @@ class SpectralReport:
 def spectral_report(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL) -> SpectralReport:
     """Bundle the spectral checks for the Cartan operators of one field."""
     spectra = degree_spectra(c, cx.LX)
-    ep = euler_poincare_check(c, cx.LX)
     d2 = _d_squared_residual(c, cx.DX)
+    alg = _algebraic_kernel(cx.LX, spectra, tol)
+    ep = _euler_poincare(c, cx.LX, alg, d2)
     ms = _mckean_singer(cx.LX, spectra, tol, d2)
     sym = spectral_symmetry_check(cx.DX, tol)
-    alg = _algebraic_kernel(cx.LX, spectra, tol)
     checks = [
         {"name": "euler_poincare", "pass": ep["pass"],
          "residual": abs(ep["chi_f"] - ep["chi_betti"])},

@@ -198,7 +198,7 @@ def test_criterion_08_euler_poincare():
     for seed in range(50):
         c = random_case(seed)
         cx = cartan(exterior_derivative(c), random_edge_field(c, (800, seed)))
-        result = euler_poincare_check(c, cx.LX)
+        result = euler_poincare_check(c, cx)
         assert result["pass"], seed
         if algebraic_kernel_vector(c, cx.LX) != result["betti"]:
             discrepancies += 1

@@ -4,11 +4,12 @@ Performance work on the exact layers (rank, `d`, field assembly, `cartan`)
 must not change a single byte of these reports.  Each case is a CLI
 invocation and the SHA-256 of its stdout (numpy 2.4, scipy 1.17, OpenBLAS,
 x86-64).  The `verify` cases cover every field kind, with and without
-`--integer-coeffs`, plus one field with i_X^2 != 0 under `--support all`;
-none has a Jordan block of L_X at 0, so they do not depend on how
-Euler-Poincare counts kernels.  The other commands are pinned once each,
-since `cartan` feeds every one of them.  A deliberate change to a report's
-format or numbers must update this table.
+`--integer-coeffs`, plus one field with i_X^2 != 0 under `--support all`
+and one whose L_X has a Jordan block at 0 (seed 19), where the geometric
+`betti` and the algebraic kernel that Euler-Poincare sums differ.  The
+other commands are pinned once each, since `cartan` feeds every one of
+them.  A deliberate change to a report's format or numbers must update
+this table.
 """
 
 import hashlib
@@ -60,6 +61,8 @@ PINNED = [
      "ce2355988108c5f6afa6109b3c158d735af2d711fa008d11c11ebbe5bbb9b38d"),
     ("verify --n 5 --m 8 --seed 3 --field sparsified --support all",
      "d50a99c356582fd44fe4f48cf8ced3c3e3a0b535ba4acdc64721c92211a7c0e2"),
+    ("verify --n 5 --m 8 --seed 19 --field sparsified",
+     "8ce4daa7cefc5b20e94ee17a7a713425cab600e684f516b7288837e83fed6beb"),
     ("evolve --n 6 --m 8 --seed 4 --field edge-random --steps 7",
      "17425c36e3d7af36b0f7ad8874140945d5562f42a1d4afdd05824bf3805153bc"),
     ("deform --n 6 --m 8 --seed 4 --field edge-random --steps 20",

@@ -227,6 +227,11 @@ def test_verify_exit_code_agrees_with_report_over_ladder_shapes(capsys):
         failing = [chk["name"] for chk in report["checks"]
                    if not chk["pass"] and not chk.get("informational")]
         assert code == (1 if failing else 0), (argv, code, failing)
+        data = report["data"]
+        chi = sum((-1) ** p * a for p, a in enumerate(data["algebraic_kernel"]))
+        (ep,) = [chk for chk in report["checks"] if chk["name"] == "euler_poincare"]
+        assert data["chi_betti"] == chi, argv
+        assert ep["residual"] == abs(data["chi_f"] - chi), argv
 
 
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):

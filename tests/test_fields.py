@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanflow import (
     FieldError,
@@ -19,7 +21,9 @@ from cartanflow import (
     whitney_complex,
     zero_field,
 )
+from cartanflow.fields import FIELD_KINDS
 from cartanflow.linalg import eigenvalues, pair_spectra
+from cartanflow.verification import run_checks
 
 import reference_data as ref
 
@@ -223,6 +227,23 @@ def test_lie_algebra_identities_for_odd_fields(seed):
     assert not np.any(iz.matrix @ iz.matrix)
     assert np.array_equal(cz.DX.matrix @ cz.DX.matrix, cz.LX.matrix)
     assert not np.any(np.linalg.matrix_power(iz.matrix, 1 + c.dimension))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(FIELD_KINDS), integer=st.booleans(),
+       support=st.sampled_from([(1, 3, 5, 7, 9), tuple(range(10)), (1, 2)]))
+def test_bracket_nilpotency_certificate_matches_dense_power(n, m, seed, kind, integer, support):
+    # i_Z lowers degree by one, so run_checks reports i_Z^(dim+1) = 0 unmultiplied
+    c = random_complex(n, m, seed)
+    ix = canonical_fields(c, kind, 0.5, seed, support, integer)
+    iy = random_edge_field(c, (seed, 1), support, integer)
+    power = np.linalg.matrix_power(lie_bracket(ix, iy, exterior_derivative(c)).matrix,
+                                   1 + c.dimension)
+    (chk,) = [chk for chk in run_checks(c, ix, iy)["checks"]
+              if chk["name"] == "bracket_nilpotency"]
+    assert chk == {"name": "bracket_nilpotency", "pass": True,
+                   "residual": float(np.max(np.abs(power)))}
 
 
 def test_lie_derivative_commutes_with_d_without_nilpotency():

@@ -30,8 +30,11 @@ from cartanflow import (
 from cartanflow import linalg, spectral
 from cartanflow.exterior import GradedOperator, PRESERVES
 from cartanflow.fields import FIELD_KINDS
+from cartanflow.spectral import algebraic_kernel_vector
 
 import reference_data as ref
+
+X = sp.Symbol("x")
 
 
 def hodge_pair(c):
@@ -79,7 +82,7 @@ def test_hodge_betti_matches_rank_formula(seed):
 def test_euler_poincare_c4_deterministic():
     c = whitney_complex(ref.C4_EDGES)
     cx = cartan(exterior_derivative(c), deterministic_field(c))
-    result = euler_poincare_check(c, cx.LX)
+    result = euler_poincare_check(c, cx)
     assert result["betti"] == [1, 1]
     assert result["chi_f"] == 0 == result["chi_betti"]
     assert result["pass"]
@@ -92,7 +95,7 @@ def test_euler_poincare_k2_generic():
 
     ix = InteriorDerivative.from_matrix(c, ref.k2_ix(0.7, -0.2))
     cx = cartan(d, ix)
-    result = euler_poincare_check(c, cx.LX)
+    result = euler_poincare_check(c, cx)
     assert result["betti"] == [1, 0]
     assert result["chi_f"] == 1 == result["chi_betti"]
 
@@ -100,12 +103,13 @@ def test_euler_poincare_k2_generic():
 
 def test_euler_poincare_counts_jordan_block_at_zero():
     # L_X has a Jordan block at 0 on 1-forms: the geometric kernel [2, 1, 0, 0]
-    # sums to 1, the generalized kernel [2, 2, 0, 0] to chi_f = 0
+    # sums to 1, the algebraic kernel [2, 2, 0, 0] to chi_f = 0
     c = random_complex(5, 8, 19)
     ix = canonical_fields(c, "sparsified", 0.5, (19, 0))
-    result = euler_poincare_check(c, cartan(exterior_derivative(c), ix).LX)
+    cx = cartan(exterior_derivative(c), ix)
+    result = euler_poincare_check(c, cx)
     assert result["betti"] == [2, 1, 0, 0]
-    assert result["generalized_kernel"] == [2, 2, 0, 0]
+    assert algebraic_kernel_vector(c, cx.LX) == [2, 2, 0, 0]
     assert result["chi_f"] == 0 == result["chi_betti"]
     assert result["pass"]
 
@@ -125,20 +129,39 @@ def test_verify_passes_euler_poincare_on_jordan_block(capsys):
 
 def test_euler_poincare_float_block_keeps_geometric_count():
     # L_X has the eigenvalue 3.5e-5 on 0- and 1-forms; its square 1.2e-9 would
-    # fall under the rank tolerance of L_X^2 and pass for a Jordan block at 0
+    # fall under the rank tolerance of L_X^2, but neither kernel count takes it for 0
     c = random_complex(5, 8, (236, 5))
     ix = random_edge_field(c, (236, 6), support=range(10))
-    result = euler_poincare_check(c, cartan(exterior_derivative(c), ix).LX)
-    assert result["betti"] == result["generalized_kernel"] == [1, 0, 0]
+    cx = cartan(exterior_derivative(c), ix)
+    result = euler_poincare_check(c, cx)
+    assert result["betti"] == algebraic_kernel_vector(c, cx.LX) == [1, 0, 0]
     assert result["pass"]
 
-def test_generalized_kernel_powers_do_not_overflow():
-    # [[2^32, 2^32], [0, 0]] squared has entries 2^64, which wrap to 0 in int64
+
+def test_betti_of_large_integer_block_is_exact():
+    # products of entries 2^32 wrap to 0 in int64; the rank is taken on Python ints
     c = Complex.from_simplices([(1,), (2,)])
     lx = GradedOperator(np.array([[2**32, 2**32], [0, 0]]), c, PRESERVES)
-    result = euler_poincare_check(c, lx)
-    assert result["betti"] == [1]
-    assert result["generalized_kernel"] == [1]
+    assert betti_vector(c, lx) == [1]
+
+
+@pytest.mark.parametrize("n, m, seed, kind", [
+    (5, 8, 19, "sparsified"), (6, 10, 3, "adjoint"), (6, 10, 3, "edge-random")])
+def test_spectral_report_ranks_each_degree_block_once(monkeypatch, n, m, seed, kind):
+    # exact ranks go to the geometric betti vector only, one per degree block
+    calls, exact_rank = [], linalg.exact_rank
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return exact_rank(a)
+
+    monkeypatch.setattr(linalg, "exact_rank", counting)
+    monkeypatch.setattr(spectral, "exact_rank", counting, raising=False)
+    c = random_complex(n, m, seed)
+    ix = canonical_fields(c, kind, 0.5, (seed, 0), integer_coeffs=True)
+    assert np.issubdtype(ix.matrix.dtype, np.integer)
+    spectral_report(c, cartan(exterior_derivative(c), ix))
+    assert len(calls) == c.dimension + 1
 
 
 def paired_mckean_singer(c, cx, tol=1e-7):
@@ -244,22 +267,33 @@ def test_random_odd_field_spectral_properties(seed):
     d = exterior_derivative(c)
     ix = random_edge_field(c, (seed, 78))
     cx = cartan(d, ix)
-    assert euler_poincare_check(c, cx.LX)["pass"]
+    assert euler_poincare_check(c, cx)["pass"]
     paired_mckean_singer(c, cx)
     assert spectral_symmetry_check(cx.DX)["pass"]
 
 
-def nonzero_charpoly(c, lx, parity):
-    """Product of the sympy char-polys of the degree blocks of one parity,
-    with the powers of x stripped: it carries the nonzero spectrum exactly."""
-    x = sp.Symbol("x")
-    poly = sp.Poly(1, x)
-    for p in range(parity, c.dimension + 1, 2):
-        poly *= sp.Matrix(lx[c.block(p), c.block(p)].tolist()).charpoly(x)
+def block_charpolys(c, lx):
+    """The sympy char-poly of each degree block of lx."""
+    return [sp.Matrix(lx[c.block(p), c.block(p)].tolist()).charpoly(X)
+            for p in range(c.dimension + 1)]
+
+
+def nonzero_charpoly(polys):
+    """Product of char-polys with the powers of x stripped: it carries the
+    nonzero spectrum exactly."""
+    poly = sp.Poly(1, X)
+    for q in polys:
+        poly *= q
     coeffs = poly.all_coeffs()
     while coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def zero_multiplicity(poly):
+    """Algebraic multiplicity of the eigenvalue 0: the power of x dividing poly."""
+    coeffs = poly.all_coeffs()[::-1]
+    return next(k for k, a in enumerate(coeffs) if a != 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -278,8 +312,13 @@ def test_mckean_singer_certificate_agrees_with_exact_charpolys(n, m, seed, kind,
     cx = cartan(exterior_derivative(c), ix)
     lx = cx.LX.matrix
     assert np.issubdtype(lx.dtype, np.integer)
-    assert nonzero_charpoly(c, lx, 0) == nonzero_charpoly(c, lx, 1)
+    polys = block_charpolys(c, lx)
+    assert nonzero_charpoly(polys[0::2]) == nonzero_charpoly(polys[1::2])
     assert mckean_singer_check(c, cx)["pass"]
+    # Euler-Poincare: the exact algebraic kernels sum to chi, as the certificate says
+    chi = sum((-1) ** k * zero_multiplicity(q) for k, q in enumerate(polys))
+    assert chi == c.euler_characteristic()
+    assert euler_poincare_check(c, cx)["pass"]
 
 
 def test_mckean_singer_certificate_decides_when_pairing_misses(capsys):
@@ -289,7 +328,8 @@ def test_mckean_singer_certificate_decides_when_pairing_misses(capsys):
     # computed even and odd spectra pair only to 6.3e-6, far past 1e-7 * scale
     c = random_complex(5, 8, 13)
     lx = cartan(exterior_derivative(c), canonical_fields(c, "sparsified", 0.5, (13, 0))).LX
-    assert nonzero_charpoly(c, lx.matrix, 0) == nonzero_charpoly(c, lx.matrix, 1)
+    polys = block_charpolys(c, lx.matrix)
+    assert nonzero_charpoly(polys[0::2]) == nonzero_charpoly(polys[1::2])
     code = main(["verify", "--n", "5", "--m", "8", "--seed", "13", "--field", "sparsified"])
     report = json.loads(capsys.readouterr().out)
     for checks in (report["checks"], report["data"]["checks"]):
@@ -301,13 +341,14 @@ def test_mckean_singer_certificate_decides_when_pairing_misses(capsys):
 
 
 def test_mckean_singer_fails_without_d_squared_zero():
-    # an operator in the place of d with d^2 != 0 breaks the certificate
+    # an operator in the place of d with d^2 != 0 breaks the certificate of both checks
     c = whitney_complex([(1, 2), (1, 3), (2, 3)])
     d = exterior_derivative(c)
     broken = GradedOperator(np.abs(d.matrix), c, d.grading_action)
     assert np.any(broken.matrix @ broken.matrix)
-    assert not mckean_singer_check(c, cartan(broken, zero_field(c)))["pass"]
-    assert mckean_singer_check(c, cartan(d, zero_field(c)))["pass"]
+    for check in (mckean_singer_check, euler_poincare_check):
+        assert not check(c, cartan(broken, zero_field(c)))["pass"]
+        assert check(c, cartan(d, zero_field(c)))["pass"]
 
 
 def test_spectral_report_shapes_and_json():
