@@ -28,9 +28,12 @@ def _parse_support(text: str):
     if text in SUPPORT_ALIASES:
         return SUPPORT_ALIASES[text]
     try:
-        return tuple(int(p) for p in text.split(","))
+        degrees = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --support value {text!r}") from exc
+    if min(degrees) < 0:
+        raise UsageError(f"--support degrees must be >= 0, got {text!r}")
+    return degrees
 
 
 def _load_complex(args) -> complexes.Complex:
@@ -152,6 +155,8 @@ def cmd_evolve(args) -> int:
     _emit("\n".join(lines) + "\n", args.out)
     if discarded > 1e-9:
         print(f"note: discarded velocity component norm {discarded:.3g}", file=sys.stderr)
+    if not cx.factorization_holds:
+        print("note: i_X^2 != 0, so this solves f'' = -D_X^2 f, not f'' = -L_X f", file=sys.stderr)
     return 0
 
 

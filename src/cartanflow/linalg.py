@@ -27,11 +27,6 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_exact(a: np.ndarray) -> bool:
-    """True when the matrix carries exact (integer) entries."""
-    return np.issubdtype(np.asarray(a).dtype, np.integer)
-
-
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues with algebraic multiplicity, sorted by (Re, Im)."""
     a = _check_square(a).astype(complex)
@@ -79,7 +74,7 @@ def exact_rank(a) -> int:
 def rank(a, tol: float = DEFAULT_KERNEL_TOL) -> int:
     """Numerical rank; exact rational rank for integer matrices."""
     a = np.asarray(a)
-    if is_exact(a):
+    if np.issubdtype(a.dtype, np.integer):
         return exact_rank(a)
     if a.size == 0:
         return 0

@@ -45,6 +45,8 @@ def test_unknown_field_kind_exits_2(capsys):
     (["deform", "--n", "4", "--m", "4", "--steps", "1"], None),
     (["survey", "--trials", "0", "--n", "4", "--m", "4"], None),
     (["verify", "--n", "4", "--m", "4", "--tol", "nan"], None),
+    (["verify", "--n", "5", "--m", "8", "--seed", "3", "--field", "edge-random",
+      "--support", "-1"], None),
     (["spectrum"], '{"facets": 5}'),
     (["spectrum"], '{"facets": [[1, "a"]]}'),
     (["spectrum"], '{"facets": [[1, 2'),
@@ -255,3 +257,22 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
         assert digest(report.read_text()) == pinned[verify]
         code, out, _ = run(verify.split(), capsys)
         assert code == 0 and digest(out) == pinned[verify]
+
+
+@pytest.mark.parametrize("n, m", [(6, 10), (7, 12)])
+def test_verify_at_zero_tol_passes_true_identities(n, m, capsys):
+    # float i_Y leaves residuals near 1e-15; every verdict is a certificate, so tol 0 passes
+    for seed, kind in itertools.product(range(5), FIELD_KINDS):
+        code, out, _ = run(["verify", "--n", str(n), "--m", str(m), "--seed", str(seed),
+                            "--field", kind, "--tol", "0"], capsys)
+        assert code == 0, [chk for chk in json.loads(out)["checks"] if not chk["pass"]]
+
+
+@pytest.mark.parametrize("field, noted", [("sparsified", True), ("adjoint", False)])
+def test_evolve_notes_the_equation_when_i_x_squared_is_nonzero(field, noted, capsys):
+    code, out, err = run(["evolve", "--n", "5", "--m", "8", "--seed", "3",
+                          "--field", field, "--support", "all"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 102
+    note = "note: i_X^2 != 0, so this solves f'' = -D_X^2 f, not f'' = -L_X f\n"
+    assert (note in err) == noted

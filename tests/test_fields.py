@@ -26,6 +26,7 @@ from cartanflow.linalg import eigenvalues, pair_spectra
 from cartanflow.verification import run_checks
 
 import reference_data as ref
+from strategies import complex_with_fields
 
 
 @pytest.fixture
@@ -256,3 +257,38 @@ def test_lie_derivative_commutes_with_d_without_nilpotency():
     assert not ix.nilpotent_verified
     lx = cartan(d, ix).LX.matrix
     assert np.array_equal(lx @ d.matrix, d.matrix @ lx)
+
+
+def _lie_algebra_defects(d, ix, iy, iw):
+    """i_[X,Y] + i_[Y,X] and the Jacobiator of the bracket on interior derivatives."""
+    def bracket(a, b):
+        return lie_bracket(a, b, d)
+
+    antisymmetry = bracket(ix, iy).matrix + bracket(iy, ix).matrix
+    jacobi = sum(bracket(a, bracket(b, e)).matrix
+                 for a, b, e in ((ix, iy, iw), (iy, iw, ix), (iw, ix, iy)))
+    return antisymmetry, jacobi
+
+
+@settings(max_examples=100, deadline=None)
+@given(complex_with_fields(count=3))
+def test_cartan_map_sends_lie_algebra_defects_to_zero(drawn):
+    # L_{i_[X,Y]} = [L_X, L_Y] since d^2 = 0, so both defects lie in the kernel
+    # of the Cartan map i -> d i + i d: the Lie algebra lives on the L_X
+    c, ix, iy, iw = drawn
+    d = exterior_derivative(c)
+    for defect in _lie_algebra_defects(d, ix, iy, iw):
+        assert np.issubdtype(defect.dtype, np.integer)
+        assert not np.any(d.matrix @ defect + defect @ d.matrix)
+
+
+def test_bracket_on_interior_derivatives_is_neither_antisymmetric_nor_jacobi():
+    c = random_complex(5, 6, 0)
+    d = exterior_derivative(c)
+    x, y, w = (random_edge_field(c, (0, k), tuple(range(10)), integer_coeffs=True)
+               for k in range(3))
+    antisymmetry, _ = _lie_algebra_defects(d, adjoint_field(c), y, w)
+    _, jacobi = _lie_algebra_defects(d, x, y, w)
+    for defect in (antisymmetry, jacobi):
+        assert np.any(defect)
+        assert not np.any(d.matrix @ defect + defect @ d.matrix)

@@ -11,7 +11,6 @@ from cartanflow import (
     ComplexError,
     adjoint_field,
     betti_vector,
-    build_edge_field,
     canonical_fields,
     cartan,
     classical_betti,
@@ -29,10 +28,10 @@ from cartanflow import (
 )
 from cartanflow import linalg, spectral
 from cartanflow.exterior import GradedOperator, PRESERVES
-from cartanflow.fields import FIELD_KINDS
 from cartanflow.spectral import algebraic_kernel_vector
 
 import reference_data as ref
+from strategies import complex_with_fields
 
 X = sp.Symbol("x")
 
@@ -241,13 +240,10 @@ def test_spectral_symmetry_case_has_parity_symmetric_charpoly():
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 6), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(FIELD_KINDS), p=st.floats(0.0, 1.0),
-       support=st.sampled_from([(1, 3, 5, 7, 9), tuple(range(10)), (1, 2)]))
-def test_cartan_identities_exact_on_integer_fields(n, m, seed, kind, p, support):
-    c = random_complex(n, m, seed)
+@given(complex_with_fields(n=st.integers(1, 6), m=st.integers(1, 8)))
+def test_cartan_identities_exact_on_integer_fields(drawn):
+    c, ix = drawn
     d = exterior_derivative(c)
-    ix = canonical_fields(c, kind, p, seed, support, integer_coeffs=True)
     cx = cartan(d, ix)
     dm, im, dx, lx = d.matrix, ix.matrix, cx.DX.matrix, cx.LX.matrix
     assert all(np.issubdtype(a.dtype, np.integer) for a in (dm, dx, lx))
@@ -297,18 +293,9 @@ def zero_multiplicity(poly):
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(3, 6), m=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(FIELD_KINDS + ("accumulate",)), p=st.floats(0.2, 0.8),
-       support=st.sampled_from([(1, 3, 5, 7, 9), tuple(range(10)), (1, 2)]))
-def test_mckean_singer_certificate_agrees_with_exact_charpolys(n, m, seed, kind, p, support):
-    c = random_complex(n, m, seed)
-    if kind == "accumulate":
-        # summed edge coefficients, the edge-field mode where i_X^2 != 0 is common
-        rng = np.random.default_rng(seed)
-        coeffs = {e: int(rng.choice([-2, -1, 1, 2])) for e in c.edges()}
-        ix = build_edge_field(c, coeffs, support=support, overwrite_order=False)
-    else:
-        ix = canonical_fields(c, kind, p, seed, support, integer_coeffs=True)
+@given(complex_with_fields())
+def test_mckean_singer_certificate_agrees_with_exact_charpolys(drawn):
+    c, ix = drawn
     cx = cartan(exterior_derivative(c), ix)
     lx = cx.LX.matrix
     assert np.issubdtype(lx.dtype, np.integer)
