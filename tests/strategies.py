@@ -13,7 +13,7 @@ SUPPORTS = [(1, 3, 5, 7, 9), tuple(range(10)), (1, 2)]
 seeds = st.integers(0, 2**32 - 1)
 
 
-def integer_field(c, kind, seed, p=0.5, support=(1, 3, 5, 7, 9)):
+def integer_field(c, kind, seed, p, support):
     """The integer field of `kind`, one of KINDS, on c."""
     if kind == "accumulate":
         rng = np.random.default_rng(seed)
