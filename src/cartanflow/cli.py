@@ -62,7 +62,7 @@ def _emit(text: str, out):
 
 def _report(config: dict, checks: list, data: dict) -> str:
     return json.dumps(
-        {"version": 1, "config": config, "checks": checks, "data": data},
+        {"version": 2, "config": config, "checks": checks, "data": data},
         sort_keys=True,
     )
 
@@ -97,7 +97,7 @@ def cmd_operators(args) -> int:
         "complex": [list(s) for s in c.simplices],
         "f_vector": list(c.f_vector),
         "operators": {
-            name: {"entries": json.loads(linalg.matrix_to_json(m))}
+            name: {"entries": m.astype(float).tolist()}
             for name, m in matrices.items()
         },
     }

@@ -119,15 +119,17 @@ def build_edge_field(
 def random_edge_field(
     c: Complex, seed, support=(1, 3, 5, 7, 9), integer_coeffs: bool = False
 ) -> InteriorDerivative:
-    """Edge field with one random coefficient per edge (seeded)."""
+    """Edge field with one random coefficient per edge (seeded).
+
+    A support degree the complex lacks contributes nothing, as degree 0 does.
+    """
     rng = np.random.default_rng(seed)
     coeffs = {}
     for e in c.edges():
         coeffs[e] = int(rng.integers(0, 2)) if integer_coeffs else float(rng.random())
-    support = frozenset(p for p in support if p <= c.dimension)
     if not coeffs:
         return zero_field(c)
-    return build_edge_field(c, coeffs, support=support or {1})
+    return build_edge_field(c, coeffs, support=support)
 
 
 def deterministic_field(c: Complex) -> InteriorDerivative:

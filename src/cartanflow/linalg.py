@@ -7,7 +7,6 @@ always floating point.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -137,15 +136,6 @@ def pair_spectra(s1, s2, tol: float) -> tuple[bool, float]:
         j = min(range(len(remaining)), key=lambda k: abs(remaining[k] - z))
         worst = max(worst, float(abs(remaining.pop(j) - z)))
     return worst <= tol, worst
-
-
-def matrix_to_json(a) -> str:
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        payload = [[[float(z.real), float(z.imag)] for z in row] for row in a]
-    else:
-        payload = [[float(x) for x in row] for row in a]
-    return json.dumps(payload)
 
 
 def spectrum_to_csv(ev) -> str:

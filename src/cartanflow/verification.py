@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import Complex
-from .exterior import dirac_and_hodge, exterior_derivative
+from .exterior import exterior_derivative
 from .fields import InteriorDerivative, cartan
-from .spectral import _mckean_singer, degree_spectra, spectral_report
+from .spectral import spectral_report
 
 
 def _residual(a: np.ndarray) -> float:
@@ -65,12 +65,6 @@ def run_checks(
                                  d2_zero and iz.nilpotent_verified))
 
     checks.extend(report.checks)
-    # the Hodge reference is the extreme case i_X = d^T, where L_X = (d + d^T)^2
-    hodge = dirac_and_hodge(d)[1]
-    hodge_ms = _mckean_singer(hodge, degree_spectra(c, hodge), tol, report.d_squared_residual)
-    checks.append({"name": "hodge_mckean_singer_reference",
-                   "pass": hodge_ms["pass"],
-                   "residual": hodge_ms["residual"] or 0.0})
     return {
         "checks": checks,
         "spectral": report,

@@ -20,49 +20,49 @@ from cartanflow.cli import main
 
 PINNED = [
     ("verify --n 5 --m 8 --seed 3 --field adjoint",
-     "92d7fd04f1b768cf47faaa7877a96e159a9861214e407086df08c457ce96a3e2"),
+     "0936d3eac25b18ce80a54daa908d143643beffd8cf03b667c4eee77025196240"),
     ("verify --n 6 --m 7 --seed 13 --field adjoint",
-     "558bb8c8f05ad5135ee43008e9a6b41cc03adc8b3fe04c29a1bb404360c7092f"),
+     "3495ba3c968d0ff29527188044b7f143339466b19f246d93be258d91b16290fe"),
     ("verify --n 5 --m 8 --seed 3 --field adjoint --integer-coeffs",
-     "00dfae688d48129d5ad82b273f75b4db9ff10350e3c9ad9d543bc4493f61cb31"),
+     "ce929e13c9d764089bb099d75657d16da47b7ac0b82edf5d78f88bf6246d320d"),
     ("verify --n 6 --m 7 --seed 13 --field adjoint --integer-coeffs",
-     "5ea16c3ef25b9b82baefb6950224ed7ea2c20827155a79a68fa4b8499eaae689"),
+     "6245e843fc74a3bea3b81ad64a6f0fcf9e2648c8bfa4e3ae2cff4b2ef46b3fb5"),
     ("verify --n 5 --m 8 --seed 3 --field zero",
-     "9618b7e9aa35225d8c63f4d0f4dc581c032e3356484e67f67ae4e1ba81fb822d"),
+     "d23ae7c4d23bfacbe15a0e9963feb745c1ba83adf430f4340aaa09c9f75a436b"),
     ("verify --n 6 --m 7 --seed 13 --field zero",
-     "52fb6cb487ff8cc11b0e1bf0241fae16dfde69e9cc7be2290d71774eed913ccc"),
+     "394bdba7d292086190c43ac34ed8f3778dc56fb81a8e9929076eb83a9d30c4f0"),
     ("verify --n 5 --m 8 --seed 3 --field zero --integer-coeffs",
-     "9618b7e9aa35225d8c63f4d0f4dc581c032e3356484e67f67ae4e1ba81fb822d"),
+     "d23ae7c4d23bfacbe15a0e9963feb745c1ba83adf430f4340aaa09c9f75a436b"),
     ("verify --n 6 --m 7 --seed 13 --field zero --integer-coeffs",
-     "52fb6cb487ff8cc11b0e1bf0241fae16dfde69e9cc7be2290d71774eed913ccc"),
+     "394bdba7d292086190c43ac34ed8f3778dc56fb81a8e9929076eb83a9d30c4f0"),
     ("verify --n 5 --m 8 --seed 3 --field deterministic",
-     "4c5b50ba86a37126c818081198f147cd848044c9845e28463cfd2275b0054c28"),
+     "0b6522704084af0a78718a21298a29eb7402e4244e300ac8d80887066d95a1c9"),
     ("verify --n 6 --m 7 --seed 13 --field deterministic",
-     "5eac32f344fd1d76c9b390f2cc122db3daad501d97ff9a395d751500023af414"),
+     "3a97e032e53291bfb8e2d812da7ea6b4bfa0cade8acacdfcec8a9fff2e27451e"),
     ("verify --n 5 --m 8 --seed 3 --field deterministic --integer-coeffs",
-     "f90f341e836e6026c11675ea20b2ca77239dbfc6da48f9587b2713b31c22da06"),
+     "a39bf9afd4bf8e8c03686db5457e6d5d573097b096719e96961943a492cb5c8d"),
     ("verify --n 6 --m 7 --seed 13 --field deterministic --integer-coeffs",
-     "7b1facee622297db2f298262e1f758d9ee132a1e50a800abb85f03fc2362c303"),
+     "6892f75e7b76ce00904f6daa717ad3bf954bafac4323c6ff5e0323e8e1f3483e"),
     ("verify --n 5 --m 8 --seed 3 --field edge-random",
-     "ba0844f95284c559e15864a3290f34637cf6d7db5c7fa41243c2fe8a3d22935e"),
+     "14f4d646eec8013622c759a1e9bb699412d7d5920c08cb251e6391ad62601f44"),
     ("verify --n 6 --m 7 --seed 13 --field edge-random",
-     "809901e174b8947cfbf50f36a69d25e39e2d643263401551e78af3c504274635"),
+     "569bacdc7a418e719312b1346c4c43114b4efc773b2412a883943a0d3bd64907"),
     ("verify --n 5 --m 8 --seed 3 --field edge-random --integer-coeffs",
-     "e2e35cf6ac692e0e2fb28ae9386e560d493cb75134a28aecadf9609860037bd2"),
+     "0cb183cc88029731c5f0caaaaaef9a827022d9d36520791c3222e8a9d591bd93"),
     ("verify --n 6 --m 7 --seed 13 --field edge-random --integer-coeffs",
-     "de5711131e5ba3f18a867fa295516821646dc6bc0a33967ea76952d9f5363bca"),
+     "bb705f09f42b6246a7613141d135afbc860c790c719e937338bdf92802b3c0fb"),
     ("verify --n 5 --m 8 --seed 3 --field sparsified",
-     "ccbfca2c4ab99dd967a9d2af1fde8f606393ad478c1210a4e0a34737e033f2ba"),
+     "cca82363cf741902bc33b1f0a915ed0fe73bc45c044ead449250ac4f2c3c3b1e"),
     ("verify --n 6 --m 7 --seed 13 --field sparsified",
-     "2ff9412c89638c6958e39c0c9fed9d7282514d83b379898142400802d9817d53"),
+     "cc7abce84ed991e20b6e619012a3fb9eb3b8c1704138c64a3c5aa7a8e4ae1680"),
     ("verify --n 5 --m 8 --seed 3 --field sparsified --integer-coeffs",
-     "44611bf19734d67445fbc0f75f69c7d269a024c3e4875d10b359a9886601a8a8"),
+     "3424475b0014f3cec154f7cee2845019135d76f3f47d957a04913ecf1e6e1f7d"),
     ("verify --n 6 --m 7 --seed 13 --field sparsified --integer-coeffs",
-     "ce2355988108c5f6afa6109b3c158d735af2d711fa008d11c11ebbe5bbb9b38d"),
+     "1f16da2da33f307735b3901af100df92dd6af64b6380cfd319cd10f03892cbf7"),
     ("verify --n 5 --m 8 --seed 3 --field sparsified --support all",
-     "d50a99c356582fd44fe4f48cf8ced3c3e3a0b535ba4acdc64721c92211a7c0e2"),
+     "546741a628cabdaa3c75a4afeab16b4863c38bfb160739f1fd901d9c98c61f76"),
     ("verify --n 5 --m 8 --seed 19 --field sparsified",
-     "8ce4daa7cefc5b20e94ee17a7a713425cab600e684f516b7288837e83fed6beb"),
+     "10da950a024836661694e4e1cd502cc4bc7a1aa2714e1e693d511e251986f3c0"),
     ("evolve --n 6 --m 8 --seed 4 --field edge-random --steps 7",
      "17425c36e3d7af36b0f7ad8874140945d5562f42a1d4afdd05824bf3805153bc"),
     ("deform --n 6 --m 8 --seed 4 --field edge-random --steps 20",
@@ -76,9 +76,9 @@ PINNED = [
     ("operators --n 5 --m 6 --seed 4 --field edge-random --support all --integer-coeffs",
      "44822eecd2a3d9a633c6bdb756e262961883b8311f7db59208cae3254e5efcb9"),
     ("survey --trials 4 --n 6 --m 8 --seed 2 --field edge-random",
-     "312585099cee177341f2b9a34ffad06fc2891828873ca4f9ad3b1bfde684a5d7"),
+     "e9d89ee04c4ffa98d090df19b7c63b4a19a7689d66ea00995bc4c158ac5b0d1f"),
     ("survey --trials 4 --n 6 --m 8 --seed 5 --field sparsified --integer-coeffs",
-     "c96a6073be2bb4049625262cc6bbbbf2a1d5f0721347b8dd343e8c2090982aec"),
+     "6aaa686a49169c77c74a1ffaf89283acbb09a4fd03f525228ff865ce7cebae58"),
 ]
 
 

@@ -129,10 +129,29 @@ def test_verify_random_odd_field_passes(tmp_path, capsys):
                  "--out", str(out_path)])
     assert code == 0
     report = json.loads(out_path.read_text())
-    assert report["version"] == 1
+    assert report["version"] == 2
     assert all(chk["pass"] for chk in report["checks"] if not chk.get("informational"))
-    names = {chk["name"] for chk in report["checks"]}
-    assert {"d_squared_zero", "mckean_singer", "euler_poincare"} <= names
+    names = [chk["name"] for chk in report["checks"]]
+    assert len(names) == len(set(names))
+    assert {"d_squared_zero", "mckean_singer", "euler_poincare"} <= set(names)
+    # each check appears once, in the top-level list
+    assert "checks" not in report["data"]
+    assert set(report["data"]) == {"betti", "algebraic_kernel", "chi_f", "chi_betti",
+                                   "per_degree_spectra"}
+
+
+def test_verify_support_degree_the_complex_lacks_contributes_nothing(capsys):
+    def report(support):
+        code, out, _ = run(["verify", "--n", "5", "--m", "8", "--seed", "3",
+                            "--field", "edge-random", "--support", support], capsys)
+        assert code == 0
+        data = json.loads(out)
+        del data["config"]["support"]
+        return data
+
+    assert report("99") == report("0")
+    assert report("1,99") == report("1")
+    assert report("99") != report("1")
 
 
 @pytest.mark.parametrize("seed", range(20))

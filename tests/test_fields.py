@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,14 @@ def test_adjoint_field_gives_hodge_laplacian(k2):
     ev = eigenvalues(cx.LX.matrix.astype(float))
     ok, _ = pair_spectra(ev, [0, 2, 2], 1e-9)
     assert ok
+    # exactly, in integers, on random complexes: `verify --field adjoint` is the Hodge case
+    for n, m, seed in itertools.product((4, 6, 7), (5, 8), range(4)):
+        c = random_complex(n, m, seed)
+        d = exterior_derivative(c)
+        lx = cartan(d, adjoint_field(c)).LX.matrix
+        hodge = dirac_and_hodge(d)[1].matrix
+        assert np.issubdtype(lx.dtype, np.integer) and np.issubdtype(hodge.dtype, np.integer)
+        assert np.array_equal(lx, hodge), (n, m, seed)
 
 
 def test_zero_field_gives_zero_lie_derivative(c4):

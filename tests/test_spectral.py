@@ -255,6 +255,9 @@ def test_cartan_identities_exact_on_integer_fields(drawn):
     assert not np.any(dm @ dm)
     assert np.array_equal(lx @ dm, dm @ lx)
     assert spectral_symmetry_check(cx.DX)["pass"]
+    # so the report states the symmetry as a structural certificate, unmeasured
+    (sym,) = [chk for chk in spectral_report(c, cx).checks if chk["name"] == "spectral_symmetry"]
+    assert sym == {"name": "spectral_symmetry", "pass": True, "residual": 0.0}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -319,11 +322,10 @@ def test_mckean_singer_certificate_decides_when_pairing_misses(capsys):
     assert nonzero_charpoly(polys[0::2]) == nonzero_charpoly(polys[1::2])
     code = main(["verify", "--n", "5", "--m", "8", "--seed", "13", "--field", "sparsified"])
     report = json.loads(capsys.readouterr().out)
-    for checks in (report["checks"], report["data"]["checks"]):
-        (ms,) = [chk for chk in checks if chk["name"] == "mckean_singer"]
-        assert ms["pass"]
-        assert ms["residual"] == pytest.approx(6.3e-6, rel=0.05)
-        assert ms["residual"] > 1e-7 * max(1.0, float(np.max(np.abs(lx.matrix))))
+    (ms,) = [chk for chk in report["checks"] if chk["name"] == "mckean_singer"]
+    assert ms["pass"]
+    assert ms["residual"] == pytest.approx(6.3e-6, rel=0.05)
+    assert ms["residual"] > 1e-7 * max(1.0, float(np.max(np.abs(lx.matrix))))
     assert code == 0
 
 
@@ -359,6 +361,7 @@ def test_spectral_report_eigensolves_each_degree_block_once(monkeypatch):
     c = random_complex(8, 12, 1)
     cx = cartan(exterior_derivative(c), random_edge_field(c, 1))
     spectral_report(c, cx)
-    # one call per degree block of L_X, plus one for D_X
-    assert len(calls) == c.dimension + 2
-    assert sorted(calls) == sorted([(f, f) for f in c.f_vector] + [(c.n, c.n)])
+    # one call per degree block of L_X and none for the n x n D_X
+    assert len(calls) == c.dimension + 1
+    assert sorted(calls) == sorted((f, f) for f in c.f_vector)
+    assert (c.n, c.n) not in calls

@@ -14,7 +14,7 @@ from strategies import complex_with_fields
 
 D_SQUARED_PREMISE = {"d_squared_zero", "lie_derivative_commutes_with_d", "cartan_factorization",
                      "lie_algebra_relation", "bracket_factorization", "euler_poincare",
-                     "mckean_singer", "hodge_mckean_singer_reference"}
+                     "mckean_singer"}
 
 
 def _comm(a, b):
