@@ -130,8 +130,7 @@ def cmd_verify(args) -> int:
     result = verification.run_checks(c, ix, iy, tol=args.tol)
     config = {"command": "verify", "seed": args.seed, "field": args.field,
               "support": args.support, "tol": args.tol}
-    data = json.loads(result["spectral"].to_json())
-    _emit(_report(config, result["checks"], data) + "\n", args.out)
+    _emit(_report(config, result["checks"], result["spectral"].data()) + "\n", args.out)
     return 0 if result["pass"] else 1
 
 
@@ -141,10 +140,10 @@ def cmd_evolve(args) -> int:
     c = _load_complex(args)
     d = exterior_derivative(c)
     cx = cartan(d, _field(c, args))
-    f0 = np.zeros(c.n)
-    f0[args.initial_index % c.n] = 1.0
-    ft0 = np.zeros(c.n)
-    state, discarded = dynamics.wave_pack(f0, ft0, cx.DX)
+    # f'(0) = 0, so psi(0) = f(0) - i D_X^+ f'(0) is f(0)
+    psi0 = np.zeros(c.n, dtype=complex)
+    psi0[args.initial_index % c.n] = 1.0
+    state = dynamics.WaveState(psi0, 0.0)
     lines = ["t," + ",".join(f"re{i},im{i}" for i in range(c.n))]
     for current in dynamics.wave_series(state, cx.DX, args.time / args.steps, args.steps):
         row = [f"{current.t:.12g}"]
@@ -153,8 +152,6 @@ def cmd_evolve(args) -> int:
             row.append(f"{z.imag:.12g}")
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.out)
-    if discarded > 1e-9:
-        print(f"note: discarded velocity component norm {discarded:.3g}", file=sys.stderr)
     if not cx.factorization_holds:
         print("note: i_X^2 != 0, so this solves f'' = -D_X^2 f, not f'' = -L_X f", file=sys.stderr)
     return 0

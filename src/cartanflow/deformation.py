@@ -4,7 +4,8 @@ Each step splits the running operator DD into its degree-raising part d
 (strictly below the block diagonal), its conjugate transpose e, and the
 remainder b = DD - (d + e), then integrates DD' = [B, DD] with
 B = (d - e) + i b by one RK4 step.  With i_X = d^T the remainder vanishes,
-B is real antisymmetric and the flow is the classical isospectral one.
+B is real antisymmetric and the flow is the classical isospectral one; DD
+stays exactly Hermitian, so [B, x] = B x + (B x)* is one product.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ def block_ranks_of_d(d: np.ndarray, c: Complex, tol: float = 1e-6) -> list[int]:
     ]
 
 
+def _spectrum(a: np.ndarray, hermitian: bool) -> np.ndarray:
+    """`eigenvalues(a)`; for finite Hermitian a, exactly real and in the same order."""
+    if hermitian and np.all(np.isfinite(a)):
+        return np.linalg.eigvalsh(a).astype(complex)
+    return eigenvalues(a)
+
+
 def _l1(a: np.ndarray) -> float:
     return float(np.sum(np.abs(a)))
 
@@ -66,7 +74,6 @@ class DeformationTrajectory:
     dt: float
     u_series: list[float]
     final_dd: np.ndarray
-    final_d: np.ndarray
     diagnostics: dict
     operator_snapshots: list = field(default_factory=list)
     aborted: bool = False
@@ -112,14 +119,18 @@ def run_deformation(
     h = total_time / steps
     dd = np.asarray(dx0.matrix, dtype=complex)
     keep = _lower_block_mask(dd.shape, c.block_offsets)
-    spectrum_start = eigenvalues(dd)
+    hermitian = np.array_equal(dd, dd.conj().T)
+    spectrum_start = _spectrum(dd, hermitian)
     d0, _, _ = _split(dd, keep)
     ranks_start = block_ranks_of_d(d0, c)
 
-    def commutator_field(x):
-        d, e, b = _split(x, keep)
-        bmat = (d - e) + 1j * b
-        return bmat @ x - x @ bmat
+    def commutator_field(x, bmat=None):
+        if bmat is None:
+            d, e, b = _split(x, keep)
+            bmat = (d - e) + 1j * b
+        bx = bmat @ x
+        # x B = -(B x)* for Hermitian x and skew-Hermitian B
+        return bx + bx.conj().T if hermitian else bx - x @ bmat
 
     u_series: list[float] = []
     snapshots = []
@@ -127,11 +138,8 @@ def run_deformation(
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(steps):
             d, e, b = _split(dd, keep)
-            if consistent_rk4:
-                dd = rk4_step(commutator_field, dd, h)
-            else:
-                bmat = (d - e) + 1j * b
-                dd = rk4_step(lambda x: bmat @ x - x @ bmat, dd, h)
+            frozen = None if consistent_rk4 else (d - e) + 1j * b
+            dd = rk4_step(lambda x: commutator_field(x, frozen), dd, h)
             u_series.append(_l1(d))
             if sample_every and (m + 1) % sample_every == 0:
                 snapshots.append(dd.copy())
@@ -143,7 +151,7 @@ def run_deformation(
         "d_squared_norm": _l1(d @ d),
         "e_squared_norm": _l1(e @ e),
         "spectrum_start": [complex(z) for z in spectrum_start],
-        "spectrum_end": [complex(z) for z in eigenvalues(dd)] if not aborted else [],
+        "spectrum_end": [complex(z) for z in _spectrum(dd, hermitian)] if not aborted else [],
         "d_block_ranks_start": ranks_start,
         "d_block_ranks_end": block_ranks_of_d(d, c) if not aborted else [],
         "d_drift_from_start": _l1(d - d0),
@@ -153,7 +161,6 @@ def run_deformation(
         dt=h,
         u_series=u_series,
         final_dd=dd,
-        final_d=d,
         diagnostics=diagnostics,
         operator_snapshots=snapshots,
         aborted=aborted,

@@ -106,12 +106,18 @@ def matrix_exponential(a) -> np.ndarray:
 
 
 def rk4_step(f, x, h):
-    """One classical 4th-order Runge-Kutta step for x' = f(x)."""
+    """One classical 4th-order Runge-Kutta step for x' = f(x), summed in place."""
+    # numpy divides a complex array by a real scalar through its reciprocal, so
+    # for complex x the products below give the bits of `/ 2` and `/ 6`
     u = h * f(x)
-    v = h * f(x + u / 2)
-    w = h * f(x + v / 2)
+    v = h * f(x + u * 0.5)
+    w = h * f(x + v * 0.5)
     q = h * f(x + w)
-    return x + (u + 2 * v + 2 * w + q) / 6
+    u += 2 * v
+    u += 2 * w
+    u += q
+    u *= 1 / 6
+    return x + u
 
 
 def pair_spectra(s1, s2, tol: float) -> tuple[bool, float]:

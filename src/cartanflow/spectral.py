@@ -168,19 +168,20 @@ class SpectralReport:
     def passed(self) -> bool:
         return all(chk["pass"] for chk in self.checks if not chk.get("informational"))
 
-    def to_json(self) -> str:
+    def data(self) -> dict:
         """The report's data; the checks are left to the caller, which lists them once."""
-        return json.dumps(
-            {
-                "betti": self.betti_x,
-                "algebraic_kernel": self.algebraic_kernel,
-                "chi_f": self.euler_from_f,
-                "chi_betti": self.euler_from_betti,
-                "per_degree_spectra": [
-                    [[z.real, z.imag] for z in block] for block in self.per_degree_spectra
-                ],
-            }
-        )
+        return {
+            "betti": self.betti_x,
+            "algebraic_kernel": self.algebraic_kernel,
+            "chi_f": self.euler_from_f,
+            "chi_betti": self.euler_from_betti,
+            "per_degree_spectra": [
+                [[z.real, z.imag] for z in block] for block in self.per_degree_spectra
+            ],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.data())
 
 
 def spectral_report(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL) -> SpectralReport:

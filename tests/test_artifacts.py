@@ -8,8 +8,9 @@ x86-64).  The `verify` cases cover every field kind, with and without
 and one whose L_X has a Jordan block at 0 (seed 19), where the geometric
 `betti` and the algebraic kernel that Euler-Poincare sums differ.  The
 other commands are pinned once each, since `cartan` feeds every one of
-them.  A deliberate change to a report's format or numbers must update
-this table.
+them; `deform` once more with the adjoint field, whose Hermitian run takes
+its own bracket and eigensolver.  A deliberate change to a report's format
+or numbers must update this table.
 """
 
 import hashlib
@@ -69,6 +70,8 @@ PINNED = [
      "06a39b61ace1faf33bea534af90166b1c1d3b41c181cdee6b51169712f193028"),
     ("deform --n 6 --m 8 --seed 4 --field sparsified --steps 20 --format json",
      "e281a70e444d3fa58f23a7f856cc238a627a70022c0ab761370fe951fa964002"),
+    ("deform --n 6 --m 8 --seed 4 --field adjoint --steps 20 --format json",
+     "b2b3e82eea51cddff77639f5d407f4066a085c2e5940d1bd7bd47b40e88e8e6d"),
     ("spectrum --n 6 --m 8 --seed 4 --field edge-random --support all",
      "b8b16949f731f52f9a6c3cd81a1e641c9128533c15ed9f4c839000b022068eda"),
     ("spectrum --n 6 --m 8 --seed 4 --field deterministic --format json",

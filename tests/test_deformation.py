@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanflow import (
     adjoint_field,
+    canonical_fields,
     cartan,
     exterior_derivative,
     inflation_series,
@@ -14,7 +17,7 @@ from cartanflow import (
     zero_field,
 )
 from cartanflow.deformation import DeformationError, block_ranks_of_d
-from cartanflow.linalg import LinalgError, pair_spectra
+from cartanflow.linalg import LinalgError, eigenvalues, pair_spectra
 
 import reference_data as ref
 
@@ -145,3 +148,65 @@ def test_trajectory_csv_and_summary(c4):
     assert len(csv.splitlines()) == 11  # header + 10 steps (last v empty)
     summary = traj.summary_json()
     assert '"aborted": false' in summary
+
+
+def reference_run(dx, steps, total_time, consistent_rk4=False):
+    """The general loop for every field: DD' = B DD - DD B, RK4 with / 2 and / 6."""
+    h = total_time / steps
+    dd = np.asarray(dx.matrix, dtype=complex)
+    keep = strict_lower_block(np.ones(dd.shape), dx.complex_ref.block_offsets) != 0
+
+    def generator(x):
+        d = np.where(keep, x, 0)
+        e = d.conj().T
+        return (d - e) + 1j * (x - (d + e))
+
+    def step(f, x):
+        u = h * f(x)
+        v = h * f(x + u / 2)
+        w = h * f(x + v / 2)
+        q = h * f(x + w)
+        return x + (u + 2 * v + 2 * w + q) / 6
+
+    for _ in range(steps):
+        bmat = generator(dd)
+        if consistent_rk4:
+            dd = step(lambda x: generator(x) @ x - x @ generator(x), dd)
+        else:
+            dd = step(lambda x: bmat @ x - x @ bmat, dd)
+    return dd
+
+
+# Steps of at most 0.05 up to T = 1: a step of 1 is no longer a small RK4 step
+# (entries grow by 1e4), and at T = 3 the flow itself amplifies a 1e-16 change
+# of D_X to about 1e-9, so two roundings of the same run agree only that far.
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), m=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(1, 20), dt=st.floats(0.001, 0.05),
+       sample_every=st.integers(1, 5), consistent=st.booleans())
+def test_hodge_case_runs_exactly_hermitian(n, m, seed, steps, dt, sample_every, consistent):
+    c = random_complex(n, m, seed)
+    dx = cartan(exterior_derivative(c), adjoint_field(c)).DX
+    traj = run_deformation(dx, steps, steps * dt, sample_every, consistent)
+    for x in [*traj.operator_snapshots, traj.final_dd]:
+        assert np.array_equal(x, x.conj().T)
+    for key in ("spectrum_start", "spectrum_end"):
+        assert all(z.imag == 0 for z in traj.diagnostics[key])
+    scale = max(1.0, float(np.max(np.abs(dx.matrix))))
+    end_scale = max(1.0, float(np.max(np.abs(traj.final_dd))))
+    assert np.allclose(traj.diagnostics["spectrum_end"], eigenvalues(traj.final_dd),
+                       rtol=0, atol=1e-12 * end_scale)
+    ref = reference_run(dx, steps, steps * dt, consistent)
+    assert np.max(np.abs(traj.final_dd - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("consistent", [False, True])
+@pytest.mark.parametrize("kind", ["edge-random", "sparsified", "zero", "deterministic"])
+def test_general_fields_match_reference_loop_bit_for_bit(kind, consistent):
+    c = random_complex(6, 10, 3)
+    dx = cartan(exterior_derivative(c), canonical_fields(c, kind, 0.5, (3, 1))).DX
+    assert not np.array_equal(dx.matrix, dx.matrix.T)
+    traj = run_deformation(dx, steps=40, total_time=1.0, consistent_rk4=consistent)
+    ref = reference_run(dx, 40, 1.0, consistent)
+    assert np.array_equal(traj.final_dd, ref)
+    assert traj.diagnostics["spectrum_end"] == [complex(z) for z in eigenvalues(ref)]

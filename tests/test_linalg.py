@@ -147,6 +147,16 @@ def test_rk4_trivial_cases():
     assert np.array_equal(linalg.rk4_step(lambda m: b @ m - m @ b, x, 0.1), x)
 
 
+def test_rk4_leaves_complex_x_unmodified():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    b = rng.standard_normal((4, 4))
+    before = x.copy()
+    for f in (lambda m: b @ m - m @ b, lambda m: m):
+        linalg.rk4_step(f, x, 0.1)
+        assert np.array_equal(x, before)
+
+
 def test_rk4_scalar_linear_is_degree4_taylor():
     h = 0.1
     got = linalg.rk4_step(lambda x: x, np.array(1.0), h)
