@@ -4,7 +4,6 @@ from .complexes import (
     Complex,
     ComplexError,
     generate_closure,
-    grading_summary,
     load_complex,
     random_complex,
     whitney_complex,
@@ -27,7 +26,6 @@ from .exterior import (
     degree_block,
     dirac_and_hodge,
     exterior_derivative,
-    incidence_sign,
 )
 from .fields import (
     CartanOperators,
@@ -44,7 +42,6 @@ from .fields import (
     zero_field,
 )
 from .spectral import (
-    SpectralReport,
     betti_vector,
     classical_betti,
     euler_poincare_check,

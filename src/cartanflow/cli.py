@@ -14,9 +14,9 @@ from .exterior import dirac_and_hodge, exterior_derivative
 from .fields import cartan
 
 SUPPORT_ALIASES = {
-    "odd": (1, 3, 5, 7, 9),
-    "even": (0, 2, 4, 6, 8),
-    "all": tuple(range(10)),
+    "odd": fields.ODD_DEGREES,
+    "even": tuple(range(0, complexes.MAX_FACET_VERTICES, 2)),
+    "all": tuple(range(complexes.MAX_FACET_VERTICES)),
 }
 
 
@@ -130,7 +130,7 @@ def cmd_verify(args) -> int:
     result = verification.run_checks(c, ix, iy, tol=args.tol)
     config = {"command": "verify", "seed": args.seed, "field": args.field,
               "support": args.support, "tol": args.tol}
-    _emit(_report(config, result["checks"], result["spectral"].data()) + "\n", args.out)
+    _emit(_report(config, result["checks"], result["data"]) + "\n", args.out)
     return 0 if result["pass"] else 1
 
 
@@ -172,7 +172,7 @@ def cmd_deform(args) -> int:
     return 1 if traj.aborted else 0
 
 
-def survey(trials, n, m, field_kind, seed, support=(1, 3, 5, 7, 9),
+def survey(trials, n, m, field_kind, seed, support=fields.ODD_DEGREES,
            integer_coeffs=False, p=0.5, tol=1e-6):
     """Classify L_X spectra over random complexes and fields."""
     if trials < 1:

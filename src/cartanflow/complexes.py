@@ -181,11 +181,6 @@ def whitney_complex(edges) -> Complex:
     return Complex.from_simplices(cliques, require_closed=False)
 
 
-def grading_summary(c: Complex):
-    """(f_vector, block_offsets, dimension, euler_characteristic)."""
-    return c.f_vector, c.block_offsets, c.dimension, c.euler_characteristic()
-
-
 def _vertex_lists(value) -> list:
     # JSON arrays of integers only: no floats, bools or strings read as labels
     if not isinstance(value, list) or not all(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, ComplexError, _as_simplex
+from .complexes import Complex, ComplexError
 
 LOWERS = "lowers-degree"
 RAISES = "raises-degree"
@@ -49,16 +49,6 @@ def classify_grading(matrix: np.ndarray, c: Complex) -> str:
     if shifts == {-1}:
         return LOWERS
     return MIXED
-
-
-def incidence_sign(a, b) -> int:
-    """+/-1 if b is a facet of a (sign of the missing vertex's position), else 0."""
-    a = _as_simplex(a)
-    b = _as_simplex(b)
-    if len(a) != len(b) + 1 or not set(b) <= set(a):
-        return 0
-    (z,) = set(a) - set(b)
-    return (-1) ** a.index(z)
 
 
 def exterior_derivative(c: Complex) -> GradedOperator:

@@ -6,16 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex, _as_simplex
+from .complexes import MAX_FACET_VERTICES, Complex, _as_simplex
 from .exterior import (
     LOWERS,
     MIXED,
     PRESERVES,
     GradedOperator,
     classify_grading,
+    exterior_derivative,
 )
 
 _ZERO_TOL = 1e-12
+# every odd degree a complex within the size cap can have: the default edge-field support
+ODD_DEGREES = tuple(range(1, MAX_FACET_VERTICES, 2))
 
 
 class FieldError(ValueError):
@@ -117,7 +120,7 @@ def build_edge_field(
 
 
 def random_edge_field(
-    c: Complex, seed, support=(1, 3, 5, 7, 9), integer_coeffs: bool = False
+    c: Complex, seed, support=ODD_DEGREES, integer_coeffs: bool = False
 ) -> InteriorDerivative:
     """Edge field with one random coefficient per edge (seeded).
 
@@ -134,8 +137,6 @@ def random_edge_field(
 
 def deterministic_field(c: Complex) -> InteriorDerivative:
     """Degree-1 field copying, per vertex, the first unit entry of d^T."""
-    from .exterior import exterior_derivative
-
     dt = exterior_derivative(c).matrix.T
     n = c.n
     ix = np.zeros((n, n), dtype=int)
@@ -153,8 +154,6 @@ def zero_field(c: Complex) -> InteriorDerivative:
 
 def adjoint_field(c: Complex) -> InteriorDerivative:
     """i_X = d^T, the extreme case whose Lie derivative is the Hodge Laplacian."""
-    from .exterior import exterior_derivative
-
     return InteriorDerivative.from_matrix(c, exterior_derivative(c).matrix.T)
 
 
@@ -162,8 +161,6 @@ def sparsified_adjoint_field(c: Complex, p: float, seed) -> InteriorDerivative:
     """d^T with each nonzero entry kept independently with probability p."""
     if not 0.0 <= p <= 1.0:
         raise FieldError(f"keep probability must lie in [0, 1], got {p}")
-    from .exterior import exterior_derivative
-
     rng = np.random.default_rng(seed)
     dt = exterior_derivative(c).matrix.T.copy()
     rows, cols = np.nonzero(dt)
@@ -181,7 +178,7 @@ def canonical_fields(
     kind: str,
     p: float = 1.0,
     seed=0,
-    support=(1, 3, 5, 7, 9),
+    support=ODD_DEGREES,
     integer_coeffs: bool = False,
 ) -> InteriorDerivative:
     """The field of one of FIELD_KINDS on c.

@@ -2,33 +2,23 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .complexes import Complex, ComplexError
-from .exterior import PRESERVES, GradedOperator, degree_block
+from .exterior import GradedOperator, degree_block
 from .fields import CartanOperators
 from .linalg import eigenvalues, kernel_dimension, pair_spectra, rank
 
 DEFAULT_TOL = 1e-7
 
 
-def _require_preserving(lx: GradedOperator):
-    if lx.grading_action != PRESERVES:
-        raise ComplexError("operator must preserve degree")
-
-
 def betti_vector(c: Complex, lx: GradedOperator, tol: float = 1e-8) -> list[int]:
     """Kernel dimension of each degree block of L_X."""
-    _require_preserving(lx)
     return [kernel_dimension(degree_block(lx, p), tol) for p in range(c.dimension + 1)]
 
 
 def degree_spectra(c: Complex, lx: GradedOperator) -> list[np.ndarray]:
     """Eigenvalues of each degree block of L_X, one eigensolve per block."""
-    _require_preserving(lx)
     return [eigenvalues(degree_block(lx, p).astype(float)) for p in range(c.dimension + 1)]
 
 
@@ -63,10 +53,10 @@ def _d_squared_residual(c: Complex, dx: GradedOperator) -> float:
                 for p in range(c.dimension - 1)), default=0.0)
 
 
-def _euler_poincare(c: Complex, lx: GradedOperator, alg: list[int], d_squared: float) -> dict:
+def _euler_poincare(c: Complex, lx: GradedOperator, alg: list[int]) -> dict:
     return {"chi_f": c.euler_characteristic(),
             "chi_betti": sum((-1) ** p * a for p, a in enumerate(alg)),
-            "betti": betti_vector(c, lx), "pass": d_squared == 0}
+            "betti": betti_vector(c, lx)}
 
 
 def euler_poincare_check(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL) -> dict:
@@ -84,7 +74,7 @@ def euler_poincare_check(c: Complex, cx: CartanOperators, tol: float = DEFAULT_T
     geometric kernel vector, which differs where L_X has a Jordan block at 0.
     """
     alg = algebraic_kernel_vector(c, cx.LX, tol)
-    return _euler_poincare(c, cx.LX, alg, _d_squared_residual(c, cx.DX))
+    return {**_euler_poincare(c, cx.LX, alg), "pass": _d_squared_residual(c, cx.DX) == 0}
 
 
 def _mckean_singer(lx: GradedOperator, spectra, tol: float, d_squared: float) -> dict:
@@ -153,46 +143,16 @@ def spectral_symmetry_check(dx: GradedOperator, tol: float = DEFAULT_TOL) -> dic
     return {"pass": True, "max_unpaired": worst}
 
 
-@dataclass
-class SpectralReport:
-    """Per-degree spectra, kernel dimensions and named identity checks."""
-
-    per_degree_spectra: list
-    betti_x: list
-    algebraic_kernel: list
-    euler_from_f: int
-    euler_from_betti: int
-    d_squared_residual: float  # max |d^2|, the certificate of euler_poincare and mckean_singer
-    checks: list = field(default_factory=list)
-
-    def passed(self) -> bool:
-        return all(chk["pass"] for chk in self.checks if not chk.get("informational"))
-
-    def data(self) -> dict:
-        """The report's data; the checks are left to the caller, which lists them once."""
-        return {
-            "betti": self.betti_x,
-            "algebraic_kernel": self.algebraic_kernel,
-            "chi_f": self.euler_from_f,
-            "chi_betti": self.euler_from_betti,
-            "per_degree_spectra": [
-                [[z.real, z.imag] for z in block] for block in self.per_degree_spectra
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.data())
-
-
-def spectral_report(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL) -> SpectralReport:
-    """Bundle the spectral checks for the Cartan operators of one field."""
+def spectral_report(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL):
+    """(checks, max |d^2|, data): the spectral checks for the Cartan operators of
+    one field, the certificate they read, and the `data` of the `verify` report."""
     spectra = degree_spectra(c, cx.LX)
     d2 = _d_squared_residual(c, cx.DX)
     alg = _algebraic_kernel(cx.LX, spectra, tol)
-    ep = _euler_poincare(c, cx.LX, alg, d2)
+    ep = _euler_poincare(c, cx.LX, alg)
     ms = _mckean_singer(cx.LX, spectra, tol, d2)
     checks = [
-        {"name": "euler_poincare", "pass": ep["pass"],
+        {"name": "euler_poincare", "pass": d2 == 0,
          "residual": abs(ep["chi_f"] - ep["chi_betti"])},
         {"name": "mckean_singer", "pass": ms["pass"], "residual": ms["residual"] or 0.0},
         # d raises degree by one and from_matrix admitted i_X only as lowering
@@ -204,5 +164,6 @@ def spectral_report(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL) -
          "residual": float(sum(abs(a - b) for a, b in zip(alg, ep["betti"]))),
          "informational": True},
     ]
-    per_degree = [[complex(z) for z in ev] for ev in spectra]
-    return SpectralReport(per_degree, ep["betti"], alg, ep["chi_f"], ep["chi_betti"], d2, checks)
+    data = {**ep, "algebraic_kernel": alg,
+            "per_degree_spectra": [[[z.real, z.imag] for z in ev.tolist()] for ev in spectra]}
+    return checks, d2, data

@@ -4,10 +4,23 @@ The C4 matrices are listed in their source basis order
 [{1},{2},{3},{4},{1,2},{2,3},{3,4},{4,1}], which differs from the
 canonical (cardinality, lex) basis by a permutation of the edges and an
 orientation flip on the edge written as (4,1).  `c4_basis_change` maps
-between the two.
+between the two.  `incidence_sign` is the per-entry sign oracle for `d`.
 """
 
 import numpy as np
+
+from cartanflow.complexes import _as_simplex
+
+
+def incidence_sign(a, b) -> int:
+    """+/-1 if b is a facet of a (sign of the missing vertex's position), else 0."""
+    a = _as_simplex(a)
+    b = _as_simplex(b)
+    if len(a) != len(b) + 1 or not set(b) <= set(a):
+        return 0
+    (z,) = set(a) - set(b)
+    return (-1) ** a.index(z)
+
 
 # ---------------------------------------------------------------- K2
 K2_EDGES = [(1, 2)]

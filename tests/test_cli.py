@@ -3,11 +3,13 @@ import itertools
 import json
 import warnings
 
+import numpy as np
 import pytest
 from test_artifacts import PINNED
 
-from cartanflow import dynamics, linalg
-from cartanflow.cli import build_parser, main, survey
+from cartanflow import dynamics, generate_closure, linalg, random_edge_field
+from cartanflow.cli import SUPPORT_ALIASES, build_parser, main, survey
+from cartanflow.complexes import MAX_FACET_VERTICES
 from cartanflow.fields import FIELD_KINDS
 
 
@@ -152,6 +154,21 @@ def test_verify_support_degree_the_complex_lacks_contributes_nothing(capsys):
     assert report("99") == report("0")
     assert report("1,99") == report("1")
     assert report("99") != report("1")
+
+
+def test_support_aliases_cover_every_degree_within_the_size_cap():
+    degrees = tuple(range(MAX_FACET_VERTICES))
+    assert SUPPORT_ALIASES["all"] == degrees
+    assert SUPPORT_ALIASES["odd"] == degrees[1::2]
+    assert SUPPORT_ALIASES["even"] == degrees[0::2]
+    # a 11-vertex facet: 2047 simplices of dimension 10
+    c = generate_closure([range(1, 12)])
+    assert c.dimension == 10
+    deg = c.degrees()
+    for alias, acted_on in [("all", range(1, 11)), ("even", range(2, 11, 2)),
+                            ("odd", range(1, 11, 2))]:
+        _, cols = np.nonzero(random_edge_field(c, 0, SUPPORT_ALIASES[alias]).matrix)
+        assert set(deg[cols].tolist()) == set(acted_on), alias
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -7,7 +7,6 @@ from cartanflow import (
     Complex,
     ComplexError,
     generate_closure,
-    grading_summary,
     load_complex,
     random_complex,
     whitney_complex,
@@ -105,12 +104,13 @@ def test_whitney_rejects_loops():
 
 def test_grading_summary_fixtures():
     k2 = whitney_complex([(1, 2)])
-    assert grading_summary(k2) == ((2, 1), (0, 2, 3), 1, 1)
+    assert (k2.f_vector, k2.block_offsets, k2.dimension) == ((2, 1), (0, 2, 3), 1)
+    assert k2.euler_characteristic() == 1
     c4 = whitney_complex([(1, 2), (2, 3), (3, 4), (4, 1)])
-    assert grading_summary(c4) == ((4, 4), (0, 4, 8), 1, 0)
+    assert (c4.f_vector, c4.block_offsets, c4.dimension) == ((4, 4), (0, 4, 8), 1)
+    assert c4.euler_characteristic() == 0
     k3 = whitney_complex([(1, 2), (1, 3), (2, 3)])
-    f, _, dim, chi = grading_summary(k3)
-    assert (f, dim, chi) == ((3, 3, 1), 2, 1)
+    assert (k3.f_vector, k3.dimension, k3.euler_characteristic()) == ((3, 3, 1), 2, 1)
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -6,7 +6,6 @@ from cartanflow import (
     degree_block,
     dirac_and_hodge,
     exterior_derivative,
-    incidence_sign,
     random_complex,
     whitney_complex,
 )
@@ -14,6 +13,7 @@ from cartanflow.exterior import MIXED, PRESERVES, RAISES, classify_grading
 from cartanflow.linalg import eigenvalues, pair_spectra
 
 import reference_data as ref
+from reference_data import incidence_sign
 
 
 @pytest.fixture
