@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from . import complexes, deformation, dynamics, fields, linalg, verification
+from . import complexes, deformation, dynamics, fields, linalg, spectral, verification
 from .exterior import dirac_and_hodge, exterior_derivative
 from .fields import cartan
 
@@ -18,6 +18,7 @@ SUPPORT_ALIASES = {
     "even": tuple(range(0, complexes.MAX_FACET_VERTICES, 2)),
     "all": tuple(range(complexes.MAX_FACET_VERTICES)),
 }
+SURVEY_TOL = 1e-6  # how far a survey eigenvalue may sit from the real axis or an integer
 
 
 class UsageError(ValueError):
@@ -50,6 +51,11 @@ def _load_complex(args) -> complexes.Complex:
 def _field(c, args) -> fields.InteriorDerivative:
     return fields.canonical_fields(c, args.field, args.p, (args.seed, 0),
                                    _parse_support(args.support), args.integer_coeffs)
+
+
+def _cartan(args) -> fields.CartanOperators:
+    c = _load_complex(args)
+    return cartan(exterior_derivative(c), _field(c, args))
 
 
 def _emit(text: str, out):
@@ -106,9 +112,7 @@ def cmd_operators(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    c = _load_complex(args)
-    d = exterior_derivative(c)
-    cx = cartan(d, _field(c, args))
+    cx = _cartan(args)
     ev = linalg.eigenvalues(cx.LX.matrix.astype(float))
     if args.format == "csv":
         _emit(linalg.spectrum_to_csv(ev), args.out)
@@ -137,14 +141,13 @@ def cmd_verify(args) -> int:
 def cmd_evolve(args) -> int:
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    c = _load_complex(args)
-    d = exterior_derivative(c)
-    cx = cartan(d, _field(c, args))
+    cx = _cartan(args)
+    n = cx.iX.complex_ref.n
     # f'(0) = 0, so psi(0) = f(0) - i D_X^+ f'(0) is f(0)
-    psi0 = np.zeros(c.n, dtype=complex)
-    psi0[args.initial_index % c.n] = 1.0
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[args.initial_index % n] = 1.0
     state = dynamics.WaveState(psi0, 0.0)
-    lines = ["t," + ",".join(f"re{i},im{i}" for i in range(c.n))]
+    lines = ["t," + ",".join(f"re{i},im{i}" for i in range(n))]
     for current in dynamics.wave_series(state, cx.DX, args.time / args.steps, args.steps):
         row = [f"{current.t:.12g}"]
         for z in current.psi:
@@ -152,7 +155,7 @@ def cmd_evolve(args) -> int:
             row.append(f"{z.imag:.12g}")
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.out)
-    if not cx.factorization_holds:
+    if not cx.iX.nilpotent_verified:
         print("note: i_X^2 != 0, so this solves f'' = -D_X^2 f, not f'' = -L_X f", file=sys.stderr)
     return 0
 
@@ -161,9 +164,7 @@ def cmd_deform(args) -> int:
     if args.format == "csv" and args.steps < 2:
         raise UsageError("the CSV inflation column needs --steps >= 2 "
                          "(--format json accepts one step)")
-    c = _load_complex(args)
-    d = exterior_derivative(c)
-    cx = cartan(d, _field(c, args))
+    cx = _cartan(args)
     traj = deformation.run_deformation(cx.DX, steps=args.steps, total_time=args.time)
     if args.format == "csv":
         _emit(traj.to_csv(), args.out)
@@ -173,7 +174,7 @@ def cmd_deform(args) -> int:
 
 
 def survey(trials, n, m, field_kind, seed, support=fields.ODD_DEGREES,
-           integer_coeffs=False, p=0.5, tol=1e-6):
+           integer_coeffs=False, p=0.5, tol=SURVEY_TOL):
     """Classify L_X spectra over random complexes and fields."""
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity check suite")
     common(p)
     field_opts(p)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("evolve", help="Schrodinger-form wave evolution")
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     common(p, needs_complex=False)
     field_opts(p)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=SURVEY_TOL)
     p.set_defaults(func=cmd_survey)
 
     return parser

@@ -33,19 +33,10 @@ def _is_zero(m: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class InteriorDerivative:
+class InteriorDerivative(GradedOperator):
     """A grading-lowering operator encoding a vector field."""
 
-    op: GradedOperator
     nilpotent_verified: bool
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def complex_ref(self) -> Complex:
-        return self.op.complex_ref
 
     @staticmethod
     def from_matrix(c: Complex, matrix) -> "InteriorDerivative":
@@ -53,11 +44,11 @@ class InteriorDerivative:
         action = classify_grading(matrix, c)
         if action not in (LOWERS, PRESERVES) or (action == PRESERVES and np.any(matrix)):
             raise FieldError("interior derivative must lower degree by exactly one")
-        op = GradedOperator(matrix, c, LOWERS)
         # i_X lives in the blocks (p-1, p), so i_X^2 can be nonzero only in (p-2, p)
-        nilpotent = all(_is_zero(op.block(p - 2, p - 1) @ op.block(p - 1, p))
+        nilpotent = all(_is_zero(matrix[c.block(p - 2), c.block(p - 1)]
+                                 @ matrix[c.block(p - 1), c.block(p)])
                         for p in range(2, c.dimension + 1))
-        return InteriorDerivative(op, nilpotent)
+        return InteriorDerivative(matrix, c, LOWERS, nilpotent)
 
 
 @dataclass(frozen=True)
@@ -67,13 +58,12 @@ class CartanOperators:
     iX: InteriorDerivative
     DX: GradedOperator
     LX: GradedOperator
-    factorization_holds: bool  # D_X^2 == L_X, equivalent to i_X^2 == 0
 
     def bracket(self, iy: InteriorDerivative) -> InteriorDerivative:
         """i_[X,Y] = L_X i_Y - i_Y L_X."""
         lx = self.LX.matrix
         return InteriorDerivative.from_matrix(
-            _same_complex(self.LX, iy.op), lx @ iy.matrix - iy.matrix @ lx)
+            _same_complex(self.LX, iy), lx @ iy.matrix - iy.matrix @ lx)
 
 
 def build_edge_field(
@@ -130,8 +120,6 @@ def random_edge_field(
     coeffs = {}
     for e in c.edges():
         coeffs[e] = int(rng.integers(0, 2)) if integer_coeffs else float(rng.random())
-    if not coeffs:
-        return zero_field(c)
     return build_edge_field(c, coeffs, support=support)
 
 
@@ -211,16 +199,15 @@ def cartan(d: GradedOperator, ix: InteriorDerivative) -> CartanOperators:
     """Assemble D_X = d + i_X and L_X = d i_X + i_X d, for a `d` with d^2 = 0.
 
     D_X^2 - L_X = d^2 + i_X^2, so D_X^2 = L_X holds exactly when i_X^2 = 0,
-    which `from_matrix` has already decided.
+    which `from_matrix` has already decided as `ix.nilpotent_verified`.
     """
-    c = _same_complex(d, ix.op)
+    c = _same_complex(d, ix)
     dm = d.matrix
     im = ix.matrix
     return CartanOperators(
         ix,
         GradedOperator(dm + im, c, MIXED),
         GradedOperator(dm @ im + im @ dm, c, PRESERVES),
-        ix.nilpotent_verified,
     )
 
 

@@ -78,8 +78,6 @@ def rank(a, tol: float = DEFAULT_KERNEL_TOL) -> int:
     if a.size == 0:
         return 0
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0:
-        return 0
     return int(np.sum(sv > tol * max(1.0, sv[0])))
 
 

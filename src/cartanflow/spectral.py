@@ -7,12 +7,12 @@ import numpy as np
 from .complexes import Complex, ComplexError
 from .exterior import GradedOperator, degree_block
 from .fields import CartanOperators
-from .linalg import eigenvalues, kernel_dimension, pair_spectra, rank
+from .linalg import DEFAULT_KERNEL_TOL, eigenvalues, kernel_dimension, pair_spectra, rank
 
 DEFAULT_TOL = 1e-7
 
 
-def betti_vector(c: Complex, lx: GradedOperator, tol: float = 1e-8) -> list[int]:
+def betti_vector(c: Complex, lx: GradedOperator, tol: float = DEFAULT_KERNEL_TOL) -> list[int]:
     """Kernel dimension of each degree block of L_X."""
     return [kernel_dimension(degree_block(lx, p), tol) for p in range(c.dimension + 1)]
 

@@ -7,7 +7,7 @@ import numpy as np
 from .complexes import Complex
 from .exterior import exterior_derivative
 from .fields import InteriorDerivative, cartan
-from .spectral import spectral_report
+from .spectral import DEFAULT_TOL, spectral_report
 
 
 def _residual(a: np.ndarray) -> float:
@@ -22,7 +22,7 @@ def run_checks(
     c: Complex,
     ix: InteriorDerivative,
     iy: InteriorDerivative | None = None,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_TOL,
 ) -> dict:
     """All identities for one or two fields on c; each "pass" is the premise it follows from."""
     d = exterior_derivative(c)

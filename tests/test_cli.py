@@ -62,6 +62,17 @@ def test_unknown_field_kind_exits_2(capsys):
     (["spectrum"], '{"facets": [[1, 2], [2, 3.5]]}'),
     (["spectrum"], '{"facets": [[true, 2]]}'),
     (["spectrum"], '{"facets": ["12"]}'),
+    # neither a complex file nor generator parameters
+    (["spectrum", "--n", "0", "--m", "4"], None),
+    (["spectrum"], None),
+    (["verify", "--n", "5", "--m", "8", "--support", "1,x"], None),
+    (["verify", "--n", "5", "--m", "8", "--support", ""], None),
+    (["whitney", "--edges", "1-x"], None),
+    (["survey", "--trials", "1", "--n", "4", "--m", "4", "--tol", "-1"], None),
+    (["verify", "--n", "4", "--m", "4", "--field", "sparsified", "--p", "1.5"], None),
+    (["spectrum"], '{"edges": [[1, 2]]}'),
+    (["spectrum"], '{"simplices": []}'),
+    (["spectrum"], '[1, 2]'),
 ])
 def test_bad_input_exits_2_with_error(argv, complex_text, tmp_path, capsys):
     if complex_text is not None:

@@ -3,6 +3,7 @@ import pytest
 
 from cartanflow import (
     ComplexError,
+    GradedOperator,
     degree_block,
     dirac_and_hodge,
     exterior_derivative,
@@ -19,6 +20,11 @@ from reference_data import incidence_sign
 @pytest.fixture
 def c4():
     return whitney_complex(ref.C4_EDGES)
+
+
+def test_graded_operator_rejects_wrong_shape(c4):
+    with pytest.raises(ComplexError):
+        GradedOperator(np.zeros((c4.n, c4.n + 1), dtype=int), c4, RAISES)
 
 
 def test_incidence_sign_k2_edge():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cartanflow import (
     FieldError,
+    GradedOperator,
     InteriorDerivative,
     adjoint_field,
     build_edge_field,
@@ -23,12 +24,13 @@ from cartanflow import (
     whitney_complex,
     zero_field,
 )
-from cartanflow.fields import FIELD_KINDS
+from cartanflow.exterior import LOWERS
+from cartanflow.fields import FIELD_KINDS, ODD_DEGREES
 from cartanflow.linalg import eigenvalues, pair_spectra
 from cartanflow.verification import run_checks
 
 import reference_data as ref
-from strategies import complex_with_fields
+from strategies import complex_with_fields, integer_field, seeds
 
 
 @pytest.fixture
@@ -41,6 +43,17 @@ def c4():
     return whitney_complex(ref.C4_EDGES)
 
 
+def test_from_matrix_rejects_a_degree_raising_matrix(c4):
+    with pytest.raises(FieldError):
+        InteriorDerivative.from_matrix(c4, exterior_derivative(c4).matrix)
+
+
+def test_interior_derivative_is_a_lowering_graded_operator(k2):
+    ix = InteriorDerivative.from_matrix(k2, ref.k2_ix(0.5, -1.0))
+    assert isinstance(ix, GradedOperator) and ix.grading_action == LOWERS
+    assert np.array_equal(ix.block(0, 1), ix.matrix[k2.block(0), k2.block(1)])
+
+
 def test_build_edge_field_k2_single_entry(k2):
     ix = build_edge_field(k2, {(1, 2): 5}, support={1})
     expected = np.zeros((3, 3), dtype=int)
@@ -51,6 +64,15 @@ def test_build_edge_field_k2_single_entry(k2):
 def test_build_edge_field_empty_support_is_zero(k2):
     ix = build_edge_field(k2, {(1, 2): 5}, support=set())
     assert not np.any(ix.matrix)
+
+
+def test_random_edge_field_on_an_edgeless_complex_is_the_zero_field():
+    c = random_complex(1, 1, 0)
+    for integer_coeffs in (False, True):
+        ix = random_edge_field(c, 0, integer_coeffs=integer_coeffs)
+        zero = zero_field(c)
+        assert ix.matrix.dtype == zero.matrix.dtype and np.array_equal(ix.matrix, zero.matrix)
+        assert ix.nilpotent_verified
 
 
 def test_build_edge_field_rejects_non_edges(k2):
@@ -76,6 +98,22 @@ def test_odd_support_forces_nilpotency(seed):
     ix = random_edge_field(c, seed, support=(1, 3, 5))
     assert not np.any(ix.matrix @ ix.matrix)
     assert ix.nilpotent_verified
+
+
+@settings(max_examples=150, deadline=None)
+@given(complex_with_fields(), seeds)
+def test_bracket_with_odd_supported_field_is_an_interior_derivative(drawn, seed):
+    # the paper's claim: for Y on odd degrees, i_[X,Y] is again an inner derivative
+    c, ix = drawn
+    iy = integer_field(c, "accumulate", seed, 0.5, ODD_DEGREES)
+    d = exterior_derivative(c)
+    iz = cartan(d, ix).bracket(iy)
+    # L_X keeps degree, so i_Z reads only the odd source degrees of i_Y
+    assert not np.any(iz.matrix[:, c.degrees() % 2 == 0])
+    assert iz.nilpotent_verified
+    cz = cartan(d, iz)
+    assert np.issubdtype(cz.DX.matrix.dtype, np.integer)
+    assert np.array_equal(cz.DX.matrix @ cz.DX.matrix, cz.LX.matrix)
 
 
 def test_deterministic_field_c4_entries(c4):
@@ -155,7 +193,7 @@ def test_k2_parametric_cartan(k2):
     ix = InteriorDerivative.from_matrix(k2, ref.k2_ix(a, b))
     cx = cartan(d, ix)
     assert np.allclose(cx.LX.matrix, ref.k2_lx(a, b))
-    assert cx.factorization_holds
+    assert cx.iX.nilpotent_verified
 
 
 def test_path_graph_parametric_cartan():
@@ -176,7 +214,7 @@ def test_cartan_rejects_mismatched_complexes(k2, c4):
 def test_cartan_flags_broken_factorization():
     c = generate_closure([(1, 2, 3)])
     ix = adjoint_field(c)  # i_X = d^T has i_X^2 = 0, factorization holds
-    assert cartan(exterior_derivative(c), ix).factorization_holds
+    assert cartan(exterior_derivative(c), ix).iX.nilpotent_verified
 
 
 def test_factorization_iff_nilpotent():
@@ -190,7 +228,8 @@ def test_factorization_iff_nilpotent():
         m[3:6, 6] = rng.standard_normal(3)
         ix = InteriorDerivative.from_matrix(c, m)
         cx = cartan(d, ix)
-        assert cx.factorization_holds == ix.nilpotent_verified
+        dx, lx = cx.DX.matrix, cx.LX.matrix
+        assert cx.iX.nilpotent_verified == (not np.any(dx @ dx - lx))
 
 
 def test_k2_lie_bracket_entries(k2):

@@ -66,6 +66,11 @@ def test_kernel_dimension_trivial():
     assert linalg.kernel_dimension(np.eye(4)) == 0
 
 
+def test_kernel_dimension_rejects_non_square():
+    with pytest.raises(linalg.LinalgError):
+        linalg.kernel_dimension(np.ones((2, 3)))
+
+
 def test_kernel_dimension_c4_vertex_block():
     block = np.array([[1, -1, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]])
     # oracle: exact nullspace over the rationals
@@ -95,6 +100,11 @@ def test_pseudo_inverse_invertible_case():
 
 def test_pseudo_inverse_zero_vector():
     assert np.allclose(linalg.apply_pseudo_inverse(np.ones((3, 3)), np.zeros(3)), 0)
+
+
+def test_pseudo_inverse_rejects_wrong_vector_length():
+    with pytest.raises(linalg.LinalgError):
+        linalg.apply_pseudo_inverse(np.eye(3), np.ones(2))
 
 
 def test_pseudo_inverse_k2_dirac_least_squares():

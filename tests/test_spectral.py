@@ -249,7 +249,7 @@ def test_cartan_identities_exact_on_integer_fields(drawn):
     assert all(np.issubdtype(a.dtype, np.integer) for a in (dm, dx, lx))
     # the degree-block decision and the factorization against dense products
     assert ix.nilpotent_verified == (not np.any(im @ im))
-    assert cx.factorization_holds == (not np.any(dx @ dx - lx))
+    assert cx.iX.nilpotent_verified == (not np.any(dx @ dx - lx))
     sign = (-1) ** c.degrees()
     assert np.array_equal(sign[:, None] * dx * sign[None, :], -dx)  # P D_X P = -D_X
     assert not np.any(dm @ dm)
