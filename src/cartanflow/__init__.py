@@ -23,7 +23,6 @@ from .dynamics import (
 )
 from .exterior import (
     GradedOperator,
-    degree_block,
     dirac_and_hodge,
     exterior_derivative,
 )

@@ -97,7 +97,13 @@ class Complex:
 
     def degrees(self) -> np.ndarray:
         """Degree (cardinality - 1) of each basis element."""
-        return np.array([len(s) - 1 for s in self.simplices], dtype=int)
+        return np.repeat(np.arange(self.dimension + 1), self.f_vector)
+
+    def degree_shifts(self, matrix) -> np.ndarray:
+        """deg(row) - deg(col) at each nonzero entry of an operator on this basis."""
+        rows, cols = np.nonzero(matrix)
+        deg = self.degrees()
+        return deg[rows] - deg[cols]
 
     def block(self, p: int) -> slice:
         """Index range of the degree-p basis elements."""

@@ -8,19 +8,13 @@ import numpy as np
 
 from .complexes import Complex, ComplexError
 
-LOWERS = "lowers-degree"
-RAISES = "raises-degree"
-PRESERVES = "preserves-degree"
-MIXED = "mixed"
-
 
 @dataclass(frozen=True)
 class GradedOperator:
-    """Dense square operator over a complex's basis, tagged by how it grades."""
+    """Dense square operator over a complex's basis; `Complex.degree_shifts` reads its grading."""
 
     matrix: np.ndarray
     complex_ref: Complex
-    grading_action: str
 
     def __post_init__(self):
         n = self.complex_ref.n
@@ -33,22 +27,6 @@ class GradedOperator:
         """Sub-block mapping degree-q forms to degree-p forms."""
         c = self.complex_ref
         return self.matrix[c.block(p), c.block(q)]
-
-
-def classify_grading(matrix: np.ndarray, c: Complex) -> str:
-    """Scan degree blocks and name the operator's grading action."""
-    deg = c.degrees()
-    rows, cols = np.nonzero(matrix)
-    if len(rows) == 0:
-        return PRESERVES
-    shifts = set(np.unique(deg[rows] - deg[cols]).tolist())
-    if shifts == {0}:
-        return PRESERVES
-    if shifts == {1}:
-        return RAISES
-    if shifts == {-1}:
-        return LOWERS
-    return MIXED
 
 
 def exterior_derivative(c: Complex) -> GradedOperator:
@@ -64,18 +42,11 @@ def exterior_derivative(c: Complex) -> GradedOperator:
             signs.append((-1) ** pos)
     d = np.zeros((c.n, c.n), dtype=int)
     d[rows, cols] = signs
-    return GradedOperator(d, c, RAISES)
+    return GradedOperator(d, c)
 
 
 def dirac_and_hodge(d: GradedOperator) -> tuple[GradedOperator, GradedOperator]:
     """D = d + d^T and the Hodge Laplacian L = D^2 (unit simplex weights)."""
     c = d.complex_ref
     dd = d.matrix + d.matrix.T
-    return GradedOperator(dd, c, MIXED), GradedOperator(dd @ dd, c, PRESERVES)
-
-
-def degree_block(a: GradedOperator, p: int) -> np.ndarray:
-    """The f_p x f_p diagonal block of a degree-preserving operator."""
-    if a.grading_action != PRESERVES:
-        raise ComplexError("degree_block requires a degree-preserving operator")
-    return a.block(p, p)
+    return GradedOperator(dd, c), GradedOperator(dd @ dd, c)

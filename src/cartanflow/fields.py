@@ -7,14 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import MAX_FACET_VERTICES, Complex, _as_simplex
-from .exterior import (
-    LOWERS,
-    MIXED,
-    PRESERVES,
-    GradedOperator,
-    classify_grading,
-    exterior_derivative,
-)
+from .exterior import GradedOperator, exterior_derivative
 
 _ZERO_TOL = 1e-12
 # every odd degree a complex within the size cap can have: the default edge-field support
@@ -41,14 +34,13 @@ class InteriorDerivative(GradedOperator):
     @staticmethod
     def from_matrix(c: Complex, matrix) -> "InteriorDerivative":
         matrix = np.asarray(matrix)
-        action = classify_grading(matrix, c)
-        if action not in (LOWERS, PRESERVES) or (action == PRESERVES and np.any(matrix)):
+        if np.any(c.degree_shifts(matrix) != -1):
             raise FieldError("interior derivative must lower degree by exactly one")
         # i_X lives in the blocks (p-1, p), so i_X^2 can be nonzero only in (p-2, p)
         nilpotent = all(_is_zero(matrix[c.block(p - 2), c.block(p - 1)]
                                  @ matrix[c.block(p - 1), c.block(p)])
                         for p in range(2, c.dimension + 1))
-        return InteriorDerivative(matrix, c, LOWERS, nilpotent)
+        return InteriorDerivative(matrix, c, nilpotent)
 
 
 @dataclass(frozen=True)
@@ -152,9 +144,8 @@ def sparsified_adjoint_field(c: Complex, p: float, seed) -> InteriorDerivative:
     rng = np.random.default_rng(seed)
     dt = exterior_derivative(c).matrix.T.copy()
     rows, cols = np.nonzero(dt)
-    for i, j in zip(rows, cols):
-        if rng.random() >= p:
-            dt[i, j] = 0
+    drop = rng.random(rows.size) >= p
+    dt[rows[drop], cols[drop]] = 0
     return InteriorDerivative.from_matrix(c, dt)
 
 
@@ -206,8 +197,8 @@ def cartan(d: GradedOperator, ix: InteriorDerivative) -> CartanOperators:
     im = ix.matrix
     return CartanOperators(
         ix,
-        GradedOperator(dm + im, c, MIXED),
-        GradedOperator(dm @ im + im @ dm, c, PRESERVES),
+        GradedOperator(dm + im, c),
+        GradedOperator(dm @ im + im @ dm, c),
     )
 
 

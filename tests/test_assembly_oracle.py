@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from cartanflow import build_edge_field, exterior_derivative, random_complex
 from cartanflow.complexes import _as_simplex
-from cartanflow.exterior import classify_grading
-from cartanflow.fields import FieldError
+from cartanflow.fields import FieldError, InteriorDerivative
 
 from reference_data import incidence_sign
 
@@ -60,6 +59,11 @@ def oracle_edge_field(c, coefficients, support=(1,), overwrite_order=True):
             else:
                 ix[m, k] += value
     return ix
+
+
+def oracle_degree_shifts(matrix, c):
+    """deg(row) - deg(col) at each nonzero entry, read from the simplices one entry at a time."""
+    return [len(c.simplices[i]) - len(c.simplices[j]) for i, j in zip(*np.nonzero(matrix))]
 
 
 def oracle_classify_grading(matrix, c):
@@ -128,5 +132,13 @@ def test_grading_scans_match_per_entry_sets(c, seed):
     d = exterior_derivative(c).matrix
     candidates = [d, d.T, d @ d.T, d + d.T, np.zeros_like(d)]
     masked = [m * (rng.random(m.shape) < rng.random()) for m in candidates]
+    assert c.degrees().dtype == np.dtype(int)
+    assert c.degrees().tolist() == [len(s) - 1 for s in c.simplices]
     for m in candidates + masked:
-        assert classify_grading(m, c) == oracle_classify_grading(m, c)
+        assert c.degree_shifts(m).tolist() == oracle_degree_shifts(m, c)
+        try:
+            InteriorDerivative.from_matrix(c, m)
+            accepted = True
+        except FieldError:
+            accepted = False
+        assert accepted == (oracle_classify_grading(m, c) == "lowers-degree" or not np.any(m))

@@ -4,13 +4,11 @@ import pytest
 from cartanflow import (
     ComplexError,
     GradedOperator,
-    degree_block,
     dirac_and_hodge,
     exterior_derivative,
     random_complex,
     whitney_complex,
 )
-from cartanflow.exterior import MIXED, PRESERVES, RAISES, classify_grading
 from cartanflow.linalg import eigenvalues, pair_spectra
 
 import reference_data as ref
@@ -24,7 +22,7 @@ def c4():
 
 def test_graded_operator_rejects_wrong_shape(c4):
     with pytest.raises(ComplexError):
-        GradedOperator(np.zeros((c4.n, c4.n + 1), dtype=int), c4, RAISES)
+        GradedOperator(np.zeros((c4.n, c4.n + 1), dtype=int), c4)
 
 
 def test_incidence_sign_k2_edge():
@@ -68,14 +66,14 @@ def test_d_is_strictly_below_block_diagonal():
     deg = c.degrees()
     rows, cols = np.nonzero(d.matrix)
     assert np.all(deg[rows] == deg[cols] + 1)
-    assert classify_grading(d.matrix, c) == RAISES
-    assert classify_grading(d.matrix.T, c) == "lowers-degree"
+    assert set(c.degree_shifts(d.matrix).tolist()) == {1}
+    assert set(c.degree_shifts(d.matrix.T).tolist()) == {-1}
 
 
 def test_dirac_and_hodge_structure(c4):
     dirac, hodge = dirac_and_hodge(exterior_derivative(c4))
-    assert dirac.grading_action == MIXED
-    assert hodge.grading_action == PRESERVES
+    assert set(c4.degree_shifts(dirac.matrix).tolist()) == {-1, 1}
+    assert set(c4.degree_shifts(hodge.matrix).tolist()) == {0}
     assert np.array_equal(hodge.matrix, hodge.matrix.T)
     assert np.all(np.linalg.eigvalsh(hodge.matrix.astype(float)) >= -1e-10)
 
@@ -92,25 +90,23 @@ def test_k2_hodge_matrix():
     c = whitney_complex(ref.K2_EDGES)
     _, hodge = dirac_and_hodge(exterior_derivative(c))
     assert np.array_equal(hodge.matrix, [[1, -1, 0], [-1, 1, 0], [0, 0, 2]])
-    assert np.array_equal(degree_block(hodge, 1), [[2]])
+    assert np.array_equal(hodge.block(1, 1), [[2]])
 
 
 def test_c4_vertex_block_is_cycle_laplacian(c4):
     _, hodge = dirac_and_hodge(exterior_derivative(c4))
-    block = degree_block(hodge, 0)
+    block = hodge.block(0, 0)
     assert np.array_equal(np.diag(block), [2, 2, 2, 2])
     assert block.sum() == 0
 
 
 def test_degree_block_of_identity():
     c = random_complex(5, 8, 2)
-    from cartanflow.exterior import GradedOperator
-
-    ident = GradedOperator(np.eye(c.n, dtype=int), c, PRESERVES)
+    ident = GradedOperator(np.eye(c.n, dtype=int), c)
     for p in range(c.dimension + 1):
-        assert np.array_equal(degree_block(ident, p), np.eye(c.f_vector[p]))
+        assert np.array_equal(ident.block(p, p), np.eye(c.f_vector[p]))
     with pytest.raises(ComplexError):
-        degree_block(ident, c.dimension + 1)
+        ident.block(c.dimension + 1, c.dimension + 1)
 
 
 def test_hodge_commutes_with_d_exactly():

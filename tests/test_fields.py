@@ -24,7 +24,6 @@ from cartanflow import (
     whitney_complex,
     zero_field,
 )
-from cartanflow.exterior import LOWERS
 from cartanflow.fields import FIELD_KINDS, ODD_DEGREES
 from cartanflow.linalg import eigenvalues, pair_spectra
 from cartanflow.verification import run_checks
@@ -50,7 +49,8 @@ def test_from_matrix_rejects_a_degree_raising_matrix(c4):
 
 def test_interior_derivative_is_a_lowering_graded_operator(k2):
     ix = InteriorDerivative.from_matrix(k2, ref.k2_ix(0.5, -1.0))
-    assert isinstance(ix, GradedOperator) and ix.grading_action == LOWERS
+    assert isinstance(ix, GradedOperator)
+    assert set(k2.degree_shifts(ix.matrix).tolist()) == {-1}
     assert np.array_equal(ix.block(0, 1), ix.matrix[k2.block(0), k2.block(1)])
 
 
@@ -213,23 +213,34 @@ def test_cartan_rejects_mismatched_complexes(k2, c4):
 
 def test_cartan_flags_broken_factorization():
     c = generate_closure([(1, 2, 3)])
+    d = exterior_derivative(c)
     ix = adjoint_field(c)  # i_X = d^T has i_X^2 = 0, factorization holds
-    assert cartan(exterior_derivative(c), ix).iX.nilpotent_verified
+    assert cartan(d, ix).iX.nilpotent_verified
+    # accumulated edge coefficients 1..3 on degrees 1 and 2 give i_X^2 != 0
+    coeffs = {e: k for k, e in enumerate(c.edges(), start=1)}
+    cx = cartan(d, build_edge_field(c, coeffs, support=(1, 2), overwrite_order=False))
+    assert not cx.iX.nilpotent_verified
+    assert np.any(cx.DX.matrix @ cx.DX.matrix - cx.LX.matrix)
 
 
 def test_factorization_iff_nilpotent():
     c = generate_closure([(1, 2, 3)])
     d = exterior_derivative(c)
     rng = np.random.default_rng(8)
-    for _ in range(10):
+    seen = set()
+    for k in range(10):
         m = np.zeros((7, 7))
         # arbitrary grading-lowering operator: vertex<-edge and edge<-triangle
         m[0:3, 3:6] = rng.standard_normal((3, 3))
         m[3:6, 6] = rng.standard_normal(3)
+        if k % 2:
+            m[3:6, 6] = 0  # only vertex<-edge is left, so i_X^2 = 0
         ix = InteriorDerivative.from_matrix(c, m)
         cx = cartan(d, ix)
         dx, lx = cx.DX.matrix, cx.LX.matrix
         assert cx.iX.nilpotent_verified == (not np.any(dx @ dx - lx))
+        seen.add(cx.iX.nilpotent_verified)
+    assert seen == {True, False}
 
 
 def test_k2_lie_bracket_entries(k2):

@@ -77,7 +77,7 @@ def test_d_squared_stand_in_fails_every_certificate_that_reads_it(monkeypatch, c
 
     def broken(c):
         d = real(c)
-        return GradedOperator(np.abs(d.matrix), c, d.grading_action)
+        return GradedOperator(np.abs(d.matrix), c)
 
     monkeypatch.setattr(verification, "exterior_derivative", broken)
     abs_d = broken(c).matrix
