@@ -113,7 +113,7 @@ def cmd_operators(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cx = _cartan(args)
-    ev = linalg.eigenvalues(cx.LX.matrix.astype(float))
+    ev = linalg.eigenvalues(cx.LX.matrix)
     if args.format == "csv":
         _emit(linalg.spectrum_to_csv(ev), args.out)
     else:
@@ -189,7 +189,7 @@ def survey(trials, n, m, field_kind, seed, support=fields.ODD_DEGREES,
         ix = fields.canonical_fields(c, field_kind, p, (seed, trial, 1), support,
                                      integer_coeffs)
         cx = cartan(exterior_derivative(c), ix)
-        ev = linalg.eigenvalues(cx.LX.matrix.astype(float))
+        ev = linalg.eigenvalues(cx.LX.matrix)
         is_real = bool(np.max(np.abs(ev.imag)) <= tol)
         rounded = np.round(ev.real)
         is_integer = is_real and bool(np.max(np.abs(ev.real - rounded)) <= tol)

@@ -27,12 +27,10 @@ class DeformationError(RuntimeError):
 def _lower_block_mask(shape, offsets) -> np.ndarray:
     """True strictly below the block diagonal of an n x n matrix."""
     n = shape[0]
-    offsets = list(offsets)
-    if shape != (n, n) or offsets[0] != 0 or offsets[-1] != n:
+    sizes = np.diff(offsets)
+    if shape != (n, n) or offsets[0] != 0 or offsets[-1] != n or np.any(sizes < 0):
         raise LinalgError("offsets inconsistent with matrix order")
-    block_of = np.empty(n, dtype=int)
-    for k in range(len(offsets) - 1):
-        block_of[offsets[k]:offsets[k + 1]] = k
+    block_of = np.repeat(np.arange(sizes.size), sizes)
     return block_of[:, None] > block_of[None, :]
 
 
@@ -57,13 +55,6 @@ def block_ranks_of_d(d: np.ndarray, c: Complex, tol: float = 1e-6) -> list[int]:
     ]
 
 
-def _spectrum(a: np.ndarray, hermitian: bool) -> np.ndarray:
-    """`eigenvalues(a)`; for finite Hermitian a, exactly real and in the same order."""
-    if hermitian and np.all(np.isfinite(a)):
-        return np.linalg.eigvalsh(a).astype(complex)
-    return eigenvalues(a)
-
-
 def _l1(a: np.ndarray) -> float:
     return float(np.sum(np.abs(a)))
 
@@ -78,12 +69,9 @@ class DeformationTrajectory:
     operator_snapshots: list = field(default_factory=list)
     aborted: bool = False
 
-    def inflation(self) -> list[float]:
-        return inflation_series(self.u_series, self.steps)
-
     def to_csv(self) -> str:
         # a run that aborts on its first step has one u value and no v
-        v = self.inflation() if len(self.u_series) > 1 else []
+        v = inflation_series(self.u_series, self.steps) if len(self.u_series) > 1 else []
         lines = ["step,u,v"]
         for k, u in enumerate(self.u_series):
             vk = f"{v[k]:.12g}" if k < len(v) else ""
@@ -110,8 +98,9 @@ def run_deformation(
     """Integrate DD' = [B(DD), DD] from DD(0) = D_X.
 
     B is recomputed once per outer step and frozen across the four RK4
-    stages (reference loop behaviour); consistent_rk4 recomputes B at every
-    stage, which is the variant to use for step-halving convergence studies.
+    stages (reference loop behaviour): each step approximates e^{hB} D e^{-hB},
+    first order in h but closer to isospectral in the Hodge case than
+    consistent_rk4, which recomputes B at every stage (fourth order).
     """
     if steps < 1 or not 0 < total_time < np.inf:
         raise DeformationError("need steps >= 1 and a finite total_time > 0")
@@ -120,7 +109,7 @@ def run_deformation(
     dd = np.asarray(dx0.matrix, dtype=complex)
     keep = _lower_block_mask(dd.shape, c.block_offsets)
     hermitian = np.array_equal(dd, dd.conj().T)
-    spectrum_start = _spectrum(dd, hermitian)
+    spectrum_start = eigenvalues(dd, hermitian)
     d0, _, _ = _split(dd, keep)
     ranks_start = block_ranks_of_d(d0, c)
 
@@ -151,7 +140,7 @@ def run_deformation(
         "d_squared_norm": _l1(d @ d),
         "e_squared_norm": _l1(e @ e),
         "spectrum_start": [complex(z) for z in spectrum_start],
-        "spectrum_end": [complex(z) for z in _spectrum(dd, hermitian)] if not aborted else [],
+        "spectrum_end": [complex(z) for z in eigenvalues(dd, hermitian)] if not aborted else [],
         "d_block_ranks_start": ranks_start,
         "d_block_ranks_end": block_ranks_of_d(d, c) if not aborted else [],
         "d_drift_from_start": _l1(d - d0),

@@ -44,7 +44,7 @@ def propagator(dx: GradedOperator, t: float) -> np.ndarray:
     """exp(i t D_X), the wave propagator over a duration t."""
     if not np.isfinite(t):
         raise LinalgError("duration must be finite")
-    return matrix_exponential(1j * t * dx.matrix.astype(float))
+    return matrix_exponential(1j * t * dx.matrix)
 
 
 def evolve_schrodinger(state: WaveState, dx: GradedOperator, t: float) -> WaveState:
@@ -81,4 +81,4 @@ def sample_wave(state: WaveState, dx: GradedOperator, h: float, steps: int) -> l
 def evolve_heat(f0, lx: GradedOperator, t: float) -> np.ndarray:
     """f(t) = exp(-t L_X) f(0); may grow for non-self-adjoint L_X."""
     f0 = np.asarray(f0, dtype=float)
-    return (matrix_exponential(-t * lx.matrix.astype(float)) @ f0).real
+    return (matrix_exponential(-t * lx.matrix) @ f0).real

@@ -33,7 +33,7 @@ class InteriorDerivative(GradedOperator):
 
     @staticmethod
     def from_matrix(c: Complex, matrix) -> "InteriorDerivative":
-        matrix = np.asarray(matrix)
+        matrix = GradedOperator(np.asarray(matrix), c).matrix  # shape check before the shifts
         if np.any(c.degree_shifts(matrix) != -1):
             raise FieldError("interior derivative must lower degree by exactly one")
         # i_X lives in the blocks (p-1, p), so i_X^2 can be nonzero only in (p-2, p)

@@ -26,12 +26,13 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues with algebraic multiplicity, sorted by (Re, Im)."""
+def eigenvalues(a, hermitian: bool = False) -> np.ndarray:
+    """All eigenvalues with algebraic multiplicity, sorted by (Re, Im); for a
+    `hermitian` a = a*, exactly real from eigvalsh."""
     a = _check_square(a).astype(complex)
     if not np.all(np.isfinite(a)):
         raise LinalgError("matrix entries must be finite")
-    ev = np.linalg.eigvals(a)
+    ev = np.linalg.eigvalsh(a).astype(complex) if hermitian else np.linalg.eigvals(a)
     return ev[np.lexsort((ev.imag, ev.real))]
 
 

@@ -26,7 +26,7 @@ def betti_vector(c: Complex, lx: GradedOperator, tol: float = DEFAULT_KERNEL_TOL
 
 def degree_spectra(c: Complex, lx: GradedOperator) -> list[np.ndarray]:
     """Eigenvalues of each degree block of L_X, one eigensolve per block."""
-    return [eigenvalues(block.astype(float)) for block in _diagonal_blocks(c, lx)]
+    return [eigenvalues(block) for block in _diagonal_blocks(c, lx)]
 
 
 def _algebraic_kernel(lx: GradedOperator, spectra, tol: float) -> list[int]:
@@ -144,7 +144,7 @@ def spectral_symmetry_check(dx: GradedOperator, tol: float = DEFAULT_TOL) -> dic
     """
     if np.any(dx.complex_ref.degree_shifts(dx.matrix) % 2 == 0):
         raise ComplexError("operator has parity-preserving blocks")
-    ev = eigenvalues(dx.matrix.astype(float))
+    ev = eigenvalues(dx.matrix)
     _, worst = pair_spectra(ev, -ev, tol)
     return {"pass": True, "max_unpaired": worst}
 

@@ -36,6 +36,14 @@ def test_strict_lower_block_kills_block_diagonal():
     assert not np.any(out[0:2, 2:4])
 
 
+@pytest.mark.parametrize("offsets", [(0, 4), (0, 2, 4), (0, 0, 3, 3, 4), (0, 1, 2, 3, 4)])
+def test_strict_lower_block_matches_per_entry_loop(offsets):
+    a = np.arange(1, 17).reshape(4, 4)
+    block_of = [max(k for k in range(len(offsets) - 1) if offsets[k] <= i) for i in range(4)]
+    expected = [[a[i, j] if block_of[i] > block_of[j] else 0 for j in range(4)] for i in range(4)]
+    assert np.array_equal(strict_lower_block(a, offsets), expected)
+
+
 def test_strict_lower_block_extracts_d(c4):
     d = exterior_derivative(c4)
     dirac = d.matrix + d.matrix.T
@@ -47,6 +55,8 @@ def test_strict_lower_block_extracts_d(c4):
 def test_strict_lower_block_bad_offsets():
     with pytest.raises(LinalgError):
         strict_lower_block(np.eye(4), (0, 2, 5))
+    with pytest.raises(LinalgError):
+        strict_lower_block(np.eye(4), (0, 3, 2, 4))
 
 
 def test_deformation_rejects_bad_config(c4):
@@ -114,6 +124,20 @@ def test_consistent_rk4_fourth_order_endpoint(c4):
     e1 = np.max(np.abs(ends[100] - ends[200]))
     e2 = np.max(np.abs(ends[200] - ends[400]))
     assert 8 <= e1 / e2 <= 24
+
+
+def test_default_step_is_first_order_but_keeps_the_hodge_spectrum_closely(c4):
+    # B frozen per step makes each step a near-similarity e^{hB} D e^{-hB}:
+    # the trajectory converges at first order, the spectrum far faster
+    cx = cartan(exterior_derivative(c4), adjoint_field(c4))
+    ends = [run_deformation(cx.DX, steps=m, total_time=2.0).final_dd for m in (100, 200, 400)]
+    e1, e2 = (np.max(np.abs(a - b)) for a, b in zip(ends, ends[1:]))
+    assert 1.5 <= e1 / e2 <= 2.5
+    drift = []
+    for m in (25, 50, 100):
+        diag = run_deformation(cx.DX, steps=m, total_time=1.0).diagnostics
+        drift.append(pair_spectra(diag["spectrum_start"], diag["spectrum_end"], 1.0)[1])
+    assert drift[0] >= 16 * drift[1] and drift[1] >= 16 * drift[2] > 0
 
 
 def test_zero_field_run_reports_drift(c4):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanflow import (
+    ComplexError,
     FieldError,
     GradedOperator,
     InteriorDerivative,
@@ -45,6 +46,14 @@ def c4():
 def test_from_matrix_rejects_a_degree_raising_matrix(c4):
     with pytest.raises(FieldError):
         InteriorDerivative.from_matrix(c4, exterior_derivative(c4).matrix)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 3), (7,)])
+def test_from_matrix_rejects_a_wrong_shape_before_reading_its_grading(shape):
+    c = random_complex(4, 4, 1)
+    assert c.n == 7
+    with pytest.raises(ComplexError):
+        InteriorDerivative.from_matrix(c, np.ones(shape))
 
 
 def test_interior_derivative_is_a_lowering_graded_operator(k2):
@@ -114,6 +123,35 @@ def test_bracket_with_odd_supported_field_is_an_interior_derivative(drawn, seed)
     cz = cartan(d, iz)
     assert np.issubdtype(cz.DX.matrix.dtype, np.integer)
     assert np.array_equal(cz.DX.matrix @ cz.DX.matrix, cz.LX.matrix)
+
+
+def bracket_defects(c, seeds, support):
+    """(i_[X,Y] + i_[Y,X], cyclic Jacobi sum) for accumulate-mode integer X, Y, Z."""
+    d = exterior_derivative(c)
+    x, y, z = (integer_field(c, "accumulate", seed, 0.5, support) for seed in seeds)
+
+    def br(a, b):
+        return lie_bracket(a, b, d)
+
+    return (br(x, y).matrix + br(y, x).matrix,
+            sum(br(br(a, b), e).matrix for a, b, e in ((x, y, z), (y, z, x), (z, x, y))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(complex_with_fields(count=0), st.tuples(seeds, seeds, seeds))
+def test_odd_supported_brackets_are_antisymmetric_and_satisfy_jacobi(drawn, field_seeds):
+    # README: i_X i_Y = i_Y i_X = 0 for X, Y both odd, and Jacobi follows from antisymmetry
+    antisymmetry, jacobi = bracket_defects(drawn[0], field_seeds, ODD_DEGREES)
+    assert np.issubdtype(jacobi.dtype, np.integer)
+    assert not np.any(antisymmetry)
+    assert not np.any(jacobi)
+
+
+def test_all_degree_brackets_break_antisymmetry():
+    # the draw above bites: with fields on every degree, i_X i_Y + i_Y i_X != 0
+    broken = [bool(np.any(bracket_defects(random_complex(5, 8, s), (s, s + 1, s + 2),
+                                          range(10))[0])) for s in range(10)]
+    assert any(broken)
 
 
 def test_deterministic_field_c4_entries(c4):

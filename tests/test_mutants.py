@@ -1,4 +1,4 @@
-"""Wrong Cartan constructions, each caught by a named oracle run in-process.
+"""Wrong constructions, each caught by a named oracle run in-process.
 
 Each row patches one piece of `cartanflow` with `monkeypatch` and runs the
 body of an existing test (a hypothesis test's `inner_test`) on one fixed
@@ -15,9 +15,13 @@ import pytest
 
 import cartanflow
 import test_assembly_oracle
+import test_deformation
+import test_exterior
+import test_linalg
 import test_spectral
 import test_verification
-from cartanflow import Complex, cli, fields, random_complex, spectral, verification
+from cartanflow import (
+    Complex, cli, deformation, exterior, fields, linalg, random_complex, spectral, verification)
 from cartanflow.exterior import GradedOperator
 from cartanflow.fields import CartanOperators, InteriorDerivative
 
@@ -78,6 +82,42 @@ def accumulate_as_overwrite(monkeypatch):
         monkeypatch.setattr(module, "build_edge_field", build_edge_field)
 
 
+def general_hodge_eigensolve(monkeypatch):
+    """run_deformation without hermitian=True: the general solver on a Hermitian D."""
+    monkeypatch.setattr(deformation, "eigenvalues",
+                        lambda a, hermitian=False: linalg.eigenvalues(a))
+
+
+def flipped_d_sign(monkeypatch):
+    """exterior_derivative with the sign of its last nonzero entry flipped."""
+    real = exterior.exterior_derivative
+
+    def exterior_derivative(c):
+        m = real(c).matrix.copy()
+        rows, cols = np.nonzero(m)
+        m[rows[-1], cols[-1]] *= -1
+        return GradedOperator(m, c)
+
+    for module in (exterior, fields, cartanflow, verification, cli,
+                   test_assembly_oracle, test_exterior):
+        monkeypatch.setattr(module, "exterior_derivative", exterior_derivative)
+
+
+def d_squared_skips_last_block(monkeypatch):
+    def residual(c, dx):
+        return max((float(np.max(np.abs(dx.block(p + 2, p + 1) @ dx.block(p + 1, p)), initial=0))
+                    for p in range(c.dimension - 2)), default=0.0)
+
+    monkeypatch.setattr(spectral, "_d_squared_residual", residual)
+
+
+def rank_off_by_one(monkeypatch):
+    """exact_rank one too high on rank-deficient input."""
+    real = linalg.exact_rank
+    monkeypatch.setattr(linalg, "exact_rank",
+                        lambda a: real(a) + (real(a) < min(np.shape(a))))
+
+
 def draw(count, kind="accumulate", support=ALL_DEGREES):
     """(c, i_X, ...) on random_complex(5, 8, 3): `count` integer fields of `kind`."""
     c = random_complex(5, 8, 3)
@@ -89,6 +129,9 @@ verdicts_oracle = (
     test_verification.test_run_checks_verdicts_equal_the_exact_zero_oracle.hypothesis.inner_test)
 grading_oracle = test_assembly_oracle.test_grading_scans_match_per_entry_sets.hypothesis.inner_test
 edge_field_oracle = test_assembly_oracle.test_edge_field_matches_per_edge_loop.hypothesis.inner_test
+d_oracle = test_assembly_oracle.test_d_matches_per_entry_loop.hypothesis.inner_test
+hermitian_oracle = test_deformation.test_hodge_case_runs_exactly_hermitian.hypothesis.inner_test
+rank_oracle = test_linalg.test_exact_rank_matches_sympy_property.hypothesis.inner_test
 
 
 MUTANTS = [
@@ -112,6 +155,20 @@ MUTANTS = [
     pytest.param(accumulate_as_overwrite,
                  lambda: edge_field_oracle(random_complex(5, 8, 3), 0, 1.0, "int", False, False),
                  id="accumulate-as-overwrite-edge-field"),
+    # eigvals leaves roundoff in the imaginary parts of a Hermitian spectrum
+    pytest.param(general_hodge_eigensolve, lambda: hermitian_oracle(5, 8, 3, 5, 0.01, 2, False),
+                 id="general-hodge-eigensolve-exactly-real"),
+    # the last nonzero entry lies in the top simplex's row, of degree >= 2 here
+    pytest.param(flipped_d_sign, lambda: d_oracle(random_complex(5, 8, 3)),
+                 id="flipped-d-sign-per-entry-loop"),
+    pytest.param(flipped_d_sign, lambda: test_exterior.test_d_squared_is_zero_exactly(0),
+                 id="flipped-d-sign-d-squared"),
+    # on a triangle, |d|^2 is nonzero only in its one (hence last) block
+    pytest.param(d_squared_skips_last_block,
+                 test_spectral.test_mckean_singer_fails_without_d_squared_zero,
+                 id="d-squared-skips-last-block-mckean-singer"),
+    pytest.param(rank_off_by_one, lambda: rank_oracle(np.array([[1, 2], [2, 4]])),
+                 id="rank-off-by-one-sympy"),
 ]
 
 
