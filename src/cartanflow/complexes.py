@@ -132,7 +132,7 @@ def generate_closure(facets) -> Complex:
     for f in map(_as_simplex, facets):
         if len(f) > MAX_FACET_VERTICES:
             raise ComplexError(
-                f"facet {f} has {len(f)} vertices; its closure alone exceeds "
+                f"a facet has at least {len(f)} vertices; its closure alone exceeds "
                 f"the {MAX_SIMPLICES} simplex limit"
             )
         for k in range(1, len(f) + 1):
@@ -144,17 +144,23 @@ def generate_closure(facets) -> Complex:
 def random_complex(n: int, m: int, seed: int) -> Complex:
     """Closure of m random vertex subsets of {1..n}.
 
-    Each trial draws k uniform in {1..n}, then k vertices with replacement.
-    Deterministic for a fixed seed.
+    Each trial draws k uniform in {1..n}, then k vertices with replacement in
+    chunks, which give the values of one draw, until the facet is too wide
+    for the size cap.  Deterministic for a fixed seed.
     """
     if n < 1 or m < 1:
         raise ComplexError("random_complex needs n >= 1 and m >= 1")
+    if n > 2**63 - 1:
+        raise ComplexError(f"random_complex needs n <= {2**63 - 1}, numpy's int64 bound")
     rng = np.random.default_rng(seed)
 
     def facets():
         for _ in range(m):
-            k = int(rng.integers(1, n + 1))
-            yield set(int(v) for v in rng.integers(1, n + 1, size=k))
+            k, facet = int(rng.integers(1, n + 1)), set()
+            while k > 0 and len(facet) <= MAX_FACET_VERTICES:
+                facet.update(rng.integers(1, n + 1, size=min(k, MAX_SIMPLICES)).tolist())
+                k -= MAX_SIMPLICES
+            yield facet
 
     return generate_closure(facets())
 

@@ -1,8 +1,8 @@
 """Dense numerical kernels: spectra, nullspaces, pseudo-inverse, expm, RK4.
 
 Integer matrices get exact treatment where it matters (rank / kernel
-dimension via fraction-free elimination on Python integers); spectra are
-always floating point.
+dimension via fraction-free elimination on sparse rows of Python
+integers); spectra are always floating point.
 """
 
 from __future__ import annotations
@@ -37,37 +37,30 @@ def eigenvalues(a, hermitian: bool = False) -> np.ndarray:
 
 
 def exact_rank(a) -> int:
-    """Rank over the rationals by fraction-free elimination on Python ints.
+    """Rank over the rationals by fraction-free elimination on sparse rows.
 
-    A pivot updates only the rows with an entry in its column, row <- p * row
-    - f * pivot_row, and each updated row is divided by the gcd of its
-    entries.  Textbook Bareiss rescales every row below the pivot instead,
-    which is far slower on sparse boundary matrices.
+    Each nonzero row is a {column: int} dict of Python ints.  The pivot is
+    the sparsest row, at its entry p of least magnitude; every other row
+    with an entry f in that column becomes p * row - f * pivot, divided by
+    the gcd of its entries.  A row that vanishes drops out, as does the
+    pivot, so the rank is the number of pivots.
     """
-    rows = [list(map(int, row)) for row in np.asarray(a).tolist()]
-    rows = [row for row in rows if any(row)]
+    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in np.asarray(a).tolist()]
+    rows = [row for row in rows if row]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((row for row in rows if row[col]), None)
-        if pivot is None:
-            continue
-        rank += 1
-        p = pivot[col]
-        rest = []
-        for row in rows:
-            if row is pivot:
-                continue
-            f = row[col]
+    while rows:
+        pivot = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+        col = min(pivot, key=lambda j: abs(pivot[j]))
+        p, rank = pivot[col], rank + 1
+        for i, row in enumerate(rows):
+            f = row.get(col)
             if f:
-                row = [p * x - f * y for x, y in zip(row, pivot)]
-                g = math.gcd(*row)
-                if g == 0:
-                    continue
-                if g > 1:
-                    row = [x // g for x in row]
-            rest.append(row)
-        rows = rest
+                row = {j: p * x for j, x in row.items()}
+                for j, y in pivot.items():
+                    row[j] = row.get(j, 0) - f * y
+                g = math.gcd(*row.values())
+                rows[i] = {j: x // g for j, x in row.items() if x}
+        rows = [row for row in rows if row]
     return rank
 
 

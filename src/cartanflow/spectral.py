@@ -160,7 +160,7 @@ def spectral_report(c: Complex, cx: CartanOperators, tol: float = DEFAULT_TOL):
     checks = [
         {"name": "euler_poincare", "pass": d2 == 0,
          "residual": abs(ep["chi_f"] - ep["chi_betti"])},
-        {"name": "mckean_singer", "pass": ms["pass"], "residual": ms["residual"] or 0.0},
+        {"name": "mckean_singer", "pass": ms["pass"], "residual": ms["residual"]},
         # d raises degree by one and from_matrix admitted i_X only as lowering
         # by one, so P D_X P = -D_X for P = diag((-1)^deg): a structural certificate
         {"name": "spectral_symmetry", "pass": True, "residual": 0.0},

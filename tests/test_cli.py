@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,6 +70,10 @@ def test_unknown_field_kind_exits_2(capsys):
     (["verify", "--n", "5", "--m", "8", "--support", ""], None),
     (["whitney", "--edges", "1-x"], None),
     (["survey", "--trials", "1", "--n", "4", "--m", "4", "--tol", "-1"], None),
+    # past numpy's int64 bound, and so large that one draw of a whole facet
+    # would ask for more memory than the address space holds
+    (["gen", "--n", "9223372036854775808", "--m", "1"], None),
+    (["gen", "--n", "100000000000000000", "--m", "1"], None),
     (["verify", "--n", "4", "--m", "4", "--field", "sparsified", "--p", "1.5"], None),
     (["spectrum"], '{"edges": [[1, 2]]}'),
     (["spectrum"], '{"simplices": []}'),
@@ -82,6 +87,28 @@ def test_bad_input_exits_2_with_error(argv, complex_text, tmp_path, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_huge_n_is_refused_before_its_facet_is_drawn(capsys):
+    # a facet of about 10^6 vertices: only a bounded chunk of it is drawn, and
+    # the message gives a vertex count, not the facet
+    tracemalloc.start()
+    try:
+        code, _, err = run(["gen", "--n", "2000000", "--m", "1", "--seed", "0"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.startswith("error: a facet has at least ") and len(err) < 200
+    assert peak < 10 * 2**20
+
+
+def test_wide_facet_file_gets_the_vertex_count(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"facets": [list(range(1, 14))]}))
+    code, _, err = run(["spectrum", "--complex", str(path)], capsys)
+    assert code == 2
+    assert err == "error: a facet has at least 13 vertices; its closure alone exceeds the 4096 simplex limit\n"
 
 
 def test_deform_one_step_csv_names_steps(capsys):

@@ -4,7 +4,9 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanflow import linalg
+from cartanflow import cartan, exterior_derivative, linalg
+
+from strategies import complex_with_fields
 
 
 def sympy_eigenvalues(matrix):
@@ -222,3 +224,16 @@ def test_exact_rank_matches_sympy_property(a):
     assert linalg.exact_rank(a) == expected
     if a.size and max(abs(x) for x in a.ravel()) < 2**62:
         assert linalg.rank(a.astype(np.int64)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(complex_with_fields())
+def test_exact_rank_matches_sympy_on_operator_blocks(drawn):
+    """The pivot rule acts on sparsity, so rank the sparse blocks of d and of
+    an integer L_X, not only dense draws."""
+    c, ix = drawn
+    d = exterior_derivative(c)
+    lx = cartan(d, ix).LX
+    blocks = [d.block(p + 1, p) for p in range(c.dimension)]
+    for a in blocks + [lx.block(p, p) for p in range(c.dimension + 1)]:
+        assert linalg.exact_rank(a) == sp.Matrix(*a.shape, a.ravel().tolist()).rank()

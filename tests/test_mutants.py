@@ -118,6 +118,12 @@ def rank_off_by_one(monkeypatch):
                         lambda a: real(a) + (real(a) < min(np.shape(a))))
 
 
+def rank_without_elimination(monkeypatch):
+    """exact_rank that counts the nonzero rows and eliminates nothing."""
+    monkeypatch.setattr(linalg, "exact_rank",
+                        lambda a: int(np.count_nonzero(np.any(np.asarray(a) != 0, axis=1))))
+
+
 def draw(count, kind="accumulate", support=ALL_DEGREES):
     """(c, i_X, ...) on random_complex(5, 8, 3): `count` integer fields of `kind`."""
     c = random_complex(5, 8, 3)
@@ -169,6 +175,8 @@ MUTANTS = [
                  id="d-squared-skips-last-block-mckean-singer"),
     pytest.param(rank_off_by_one, lambda: rank_oracle(np.array([[1, 2], [2, 4]])),
                  id="rank-off-by-one-sympy"),
+    pytest.param(rank_without_elimination, lambda: rank_oracle(np.array([[1, 2], [2, 4]])),
+                 id="rank-without-elimination-sympy"),
 ]
 
 

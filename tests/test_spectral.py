@@ -84,6 +84,13 @@ def test_hodge_betti_matches_rank_formula(seed):
     assert betti_vector(c, cx.LX) == classical_betti(c, d)
 
 
+def test_classical_betti_on_1679_simplices():
+    # the largest rung: sparse d blocks up to 443 columns, ranked exactly
+    c = random_complex(12, 30, 1)
+    assert c.f_vector == (12, 66, 209, 384, 443, 332, 166, 55, 11, 1)
+    assert classical_betti(c, exterior_derivative(c)) == [1, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+
+
 def test_euler_poincare_c4_deterministic():
     c = whitney_complex(ref.C4_EDGES)
     cx = cartan(exterior_derivative(c), deterministic_field(c))
@@ -334,6 +341,36 @@ def test_mckean_singer_certificate_decides_when_pairing_misses(capsys):
     assert ms["residual"] == pytest.approx(6.3e-6, rel=0.05)
     assert ms["residual"] > 1e-7 * max(1.0, float(np.max(np.abs(lx.matrix))))
     assert code == 0
+
+
+def test_mckean_singer_residual_is_null_when_the_counts_differ(capsys):
+    from cartanflow.cli import main
+
+    # at --tol 0 the even and odd nonzero counts differ by one, as the
+    # Euler-Poincare residual shows, so no pairing exists to measure
+    code = main(["verify", "--n", "5", "--m", "8", "--seed", "0", "--field", "adjoint",
+                 "--tol", "0"])
+    checks = {chk["name"]: chk for chk in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["euler_poincare"]["residual"] == 1
+    assert checks["mckean_singer"] == {"name": "mckean_singer", "pass": True, "residual": None}
+    assert code == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(complex_with_fields())
+def test_generalized_kernel_lies_between_betti_and_f_vector(drawn):
+    """b_p(G) <= dim genker L_X|Lambda^p <= f_p, and the alternating sum is chi.
+
+    The oracle is exact: L_p^k stops shrinking by k = f_p, so
+    dim genker L_p = f_p - rank(L_p^f_p), ranked on Python ints.
+    """
+    c, ix = drawn
+    d = exterior_derivative(c)
+    lx = cartan(d, ix).LX
+    genker = [f - linalg.exact_rank(np.linalg.matrix_power(lx.block(p, p).astype(object), f))
+              for p, f in enumerate(c.f_vector)]
+    assert all(b <= g <= f for b, g, f in zip(classical_betti(c, d), genker, c.f_vector))
+    assert sum((-1) ** p * g for p, g in enumerate(genker)) == c.euler_characteristic()
 
 
 def test_mckean_singer_fails_without_d_squared_zero():
